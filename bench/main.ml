@@ -1,12 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section VI) through the machine models, and micro-
-   benchmarks the compiler passes themselves with Bechamel.
+   evaluation (Section VI) through the machine models, and snapshots,
+   gates and reports the compiler's own pass counters.
 
    Usage:
      bench/main.exe                 run everything
      bench/main.exe table1 fig8 ... run selected experiments
-     bench/main.exe passes          Bechamel micro-benchmarks of the
-                                    compilation flows
      bench/main.exe profile         per-workload/flow pass-counter
                                     breakdown (lib/obs instrumentation)
      bench/main.exe verify          semantic cross-check of all versions
@@ -29,57 +27,6 @@
                                     runtime (lib/runtime): trimmed-mean
                                     wall times, speedup vs --jobs 1, and
                                     a race-checked equivalence run *)
-
-let bechamel_passes () =
-  let open Bechamel in
-  let open Toolkit in
-  let make_test name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    [ make_test "compile:conv2d" (fun () ->
-          ignore (Core.Pipeline.run ~target:Core.Pipeline.Cpu (Conv2d.build ())));
-      make_test "compile:unsharp_mask" (fun () ->
-          ignore
-            (Core.Pipeline.run ~target:Core.Pipeline.Cpu
-               (Polymage.unsharp_mask ~h:64 ~w:64 ())));
-      make_test "compile:harris" (fun () ->
-          ignore
-            (Core.Pipeline.run ~target:Core.Pipeline.Cpu
-               (Polymage.harris ~h:64 ~w:64 ())));
-      make_test "deps:camera_pipeline" (fun () ->
-          ignore (Deps.compute (Polymage.camera_pipeline ~h2:32 ~w2:32 ())));
-      make_test "codegen:conv2d" (fun () ->
-          let p = Conv2d.build () in
-          let c = Core.Pipeline.run ~target:Core.Pipeline.Cpu p in
-          ignore (Gen.generate p c.Core.Pipeline.tree));
-      make_test "presburger:card" (fun () ->
-          ignore
-            (Presburger.Bset.card
-               (Presburger.Parse.bset
-                  "{ S[i, j] : 0 <= i < 100 and 0 <= j <= i }")))
-    ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let test = Test.make_grouped ~name:"passes" ~fmt:"%s %s" tests in
-  let raw = Benchmark.all cfg instances test in
-  let results =
-    List.map
-      (fun i ->
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          i raw)
-      instances
-  in
-  Exp_util.section "Bechamel: compiler-pass micro-benchmarks";
-  List.iter
-    (fun tbl ->
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-28s %12.0f ns/run\n" name est
-          | _ -> Printf.printf "  %-28s (no estimate)\n" name)
-        tbl)
-    results
 
 (* Per-workload/flow counter breakdown through the lib/obs
    instrumentation: compile every registered workload (reduced size)
@@ -455,8 +402,8 @@ let default_parallel_workloads =
 (* Trimmed mean: drop the min and max sample when we have at least
    three, otherwise plain mean (see EXPERIMENTS.md, speedup
    methodology). The streaming Digest tracks min/max/sum exactly, so
-   this matches the former sort-based computation; test_digest pins
-   the agreement. *)
+   this matches the sort-based computation; test_digest pins the
+   agreement. *)
 let trimmed_mean xs = Digest.trimmed_mean (Digest.of_list xs)
 
 let parallel_cmd args =
@@ -707,463 +654,6 @@ let tune_cmd args =
     (List.rev !failures);
   if !failures <> [] then exit 1
 
-(* ------------------------------------------------------------------ *)
-(* serve: load generator + end-to-end checker for the compile daemon   *)
-(* ------------------------------------------------------------------ *)
-
-(* Drives a running `memcomp serve` daemon: fires --requests compile
-   POSTs from --concurrency client domains, then verifies the whole
-   telemetry surface end to end —
-     . every request returns 200 and its req id resolves at /trace/<id>
-     . /metrics parses as OpenMetrics (terminated by "# EOF") and its
-       memcomp_* counter samples exactly equal the daemon's internal
-       Obs counters (GET /counters), modulo the two deterministic
-       increments the scrape itself causes (http.requests,
-       http.metrics — see the server's instrumentation contract)
-     . counters are monotone across the two scrapes and
-       memcomp_pipeline_runs_total advanced by at least --requests
-   Prints p50/p95/p99 compile latency; exits 1 on any failure. *)
-let serve_cmd args =
-  let port = ref 8080 in
-  let requests = ref 50 in
-  let concurrency = ref 4 in
-  let workload = ref "conv2d" in
-  let flow = ref "ours" in
-  let tile = ref 32 in
-  let metrics_out = ref None in
-  let int_arg name v =
-    match int_of_string_opt v with
-    | Some i when i > 0 -> i
-    | _ -> usage_error (Printf.sprintf "%s expects a positive integer, got %S" name v)
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--port" :: n :: rest ->
-        port := int_arg "--port" n;
-        parse rest
-    | "--requests" :: n :: rest ->
-        requests := int_arg "--requests" n;
-        parse rest
-    | "--concurrency" :: n :: rest ->
-        concurrency := int_arg "--concurrency" n;
-        parse rest
-    | "--workload" :: w :: rest ->
-        workload := w;
-        parse rest
-    | "--flow" :: f :: rest ->
-        flow := f;
-        parse rest
-    | "--tile" :: n :: rest ->
-        tile := int_arg "--tile" n;
-        parse rest
-    | "--metrics-out" :: f :: rest ->
-        metrics_out := Some f;
-        parse rest
-    | a :: _ -> usage_error (Printf.sprintf "serve: unknown argument %s" a)
-  in
-  parse args;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let get path =
-    match Httpd.request ~port:!port path with
-    | Ok (status, body) -> (status, body)
-    | Error msg ->
-        fail "GET %s: %s" path msg;
-        (0, "")
-  in
-  (* 1. readiness: the daemon may still be binding its socket *)
-  let rec wait_ready tries =
-    if tries = 0 then begin
-      Printf.eprintf "serve: daemon on port %d not ready, giving up\n%!" !port;
-      exit 1
-    end
-    else
-      match Httpd.request ~port:!port "/healthz" with
-      | Ok (200, _) -> ()
-      | _ ->
-          Unix.sleepf 0.25;
-          wait_ready (tries - 1)
-  in
-  wait_ready 40;
-  (* 2. first scrape *)
-  let s1_status, scrape1 = get "/metrics" in
-  if s1_status <> 200 then fail "first /metrics scrape: status %d" s1_status;
-  let has_eof s =
-    let t = String.trim s in
-    String.length t >= 5 && String.sub t (String.length t - 5) 5 = "# EOF"
-  in
-  if not (has_eof scrape1) then fail "first /metrics scrape lacks the # EOF terminator";
-  let counters1 = Openmetrics.parse_counters scrape1 in
-  (* 3. the load: N compile POSTs across K client domains *)
-  let body =
-    Printf.sprintf
-      "{\"workload\":\"%s\",\"flow\":\"%s\",\"tile\":%d,\"small\":true}"
-      !workload !flow !tile
-  in
-  let next = Atomic.make 0 in
-  let client () =
-    let rec go acc =
-      let i = Atomic.fetch_and_add next 1 in
-      if i >= !requests then acc
-      else begin
-        let t0 = Unix.gettimeofday () in
-        let outcome = Httpd.request ~meth:"POST" ~body ~port:!port "/compile" in
-        let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-        go ((outcome, ms) :: acc)
-      end
-    in
-    go []
-  in
-  let doms = List.init (max 1 !concurrency) (fun _ -> Domain.spawn client) in
-  let results = List.concat_map Domain.join doms in
-  (* 4. every request 200, with a req id that resolves at /trace/<id> *)
-  let latencies = ref [] in
-  List.iter
-    (fun (outcome, ms) ->
-      match outcome with
-      | Error msg -> fail "POST /compile: %s" msg
-      | Ok (status, body) ->
-          if status <> 200 then fail "POST /compile: status %d (%s)" status (String.trim body)
-          else begin
-            latencies := ms :: !latencies;
-            match Json_util.Json.parse body with
-            | Error msg -> fail "POST /compile: unparseable response: %s" msg
-            | Ok j -> (
-                match Json_util.Json.member "req" j with
-                | Some (Json_util.Json.Str id) -> (
-                    match get ("/trace/" ^ id) with
-                    | 200, trace when String.length trace > 0 && trace.[0] = '{' -> ()
-                    | st, _ -> fail "GET /trace/%s: status %d" id st)
-                | _ -> fail "POST /compile: response carries no req id")
-          end)
-    results;
-  (* 5. internal counters, then second scrape (order matters: between
-     the /counters snapshot and the /metrics render exactly one request
-     — the scrape itself — arrives) *)
-  let c_status, counters_body = get "/counters" in
-  if c_status <> 200 then fail "GET /counters: status %d" c_status;
-  let internal =
-    match Json_util.Json.parse counters_body with
-    | Ok (Json_util.Json.Obj fields) ->
-        List.filter_map
-          (fun (k, v) ->
-            match v with
-            | Json_util.Json.Num f when Float.is_integer f -> Some (k, int_of_float f)
-            | _ -> None)
-          fields
-    | _ ->
-        fail "GET /counters: unparseable body";
-        []
-  in
-  let s2_status, scrape2 = get "/metrics" in
-  if s2_status <> 200 then fail "second /metrics scrape: status %d" s2_status;
-  if not (has_eof scrape2) then fail "second /metrics scrape lacks the # EOF terminator";
-  let counters2 = Openmetrics.parse_counters scrape2 in
-  (* exactness: scraped counters == internal counters + the scrape's
-     own deterministic increments *)
-  let expected =
-    List.map
-      (fun (name, v) ->
-        let bump = match name with "http.requests" | "http.metrics" -> 1 | _ -> 0 in
-        ("memcomp_" ^ Openmetrics.sanitize name, v + bump))
-      internal
-    |> List.sort compare
-  in
-  let scraped = List.sort compare counters2 in
-  if expected <> scraped then begin
-    let show l =
-      String.concat ", " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) l)
-    in
-    fail "scraped counters diverge from internal Obs state\n  expected: %s\n  scraped:  %s"
-      (show expected) (show scraped)
-  end;
-  (* monotonicity across the two scrapes + pipeline.runs advanced *)
-  List.iter
-    (fun (name, v1) ->
-      match List.assoc_opt name counters2 with
-      | Some v2 when v2 < v1 -> fail "counter %s went backwards: %d -> %d" name v1 v2
-      | Some _ -> ()
-      | None -> fail "counter %s disappeared between scrapes" name)
-    counters1;
-  let runs_of cs = match List.assoc_opt "memcomp_pipeline_runs" cs with Some v -> v | None -> 0 in
-  let d_runs = runs_of counters2 - runs_of counters1 in
-  if !flow <> "naive" && d_runs < !requests then
-    fail "memcomp_pipeline_runs_total advanced by %d, expected >= %d" d_runs !requests;
-  (match !metrics_out with
-  | Some file ->
-      let oc = open_out file in
-      output_string oc scrape2;
-      close_out oc
-  | None -> ());
-  (* 6. report (shared streaming-quantile digest; exact at these n) *)
-  let dg = Digest.of_list !latencies in
-  let pct p = match Digest.quantile dg p with Some v -> v | None -> 0.0 in
-  Printf.printf
-    "serve: %d requests (%s/%s, tile %d) at concurrency %d against port %d\n"
-    !requests !workload !flow !tile !concurrency !port;
-  Printf.printf "  completed   %d ok, %d failed\n" (List.length !latencies)
-    (!requests - List.length !latencies);
-  if Digest.count dg > 0 then
-    Printf.printf "  latency ms  p50 %.1f   p95 %.1f   p99 %.1f   max %.1f\n"
-      (pct 0.5) (pct 0.95) (pct 0.99)
-      (match Digest.maximum dg with Some v -> v | None -> 0.0);
-  Printf.printf "  pipeline    runs +%d across load\n" d_runs;
-  if !failures <> [] then begin
-    Printf.eprintf "serve: %d check(s) failed:\n" (List.length !failures);
-    List.iter (fun m -> Printf.eprintf "  - %s\n" m) (List.rev !failures);
-    exit 1
-  end;
-  Printf.printf "  checks      all passed (traces resolve, counters exact & monotone)\n"
-
-(* ------------------------------------------------------------------ *)
-(* soak: flight-recorder end-to-end proof against a live daemon.       *)
-(* Drives normal load, injects an error/latency burst until the        *)
-(* watchdog fires (degraded /healthz + /alerts), then recovers and     *)
-(* checks the alert clears, the /history series are monotone with      *)
-(* level-partitioned sums conserved, and /sketch quantiles are         *)
-(* ordered. Exits 1 on any failed check.                               *)
-(* ------------------------------------------------------------------ *)
-
-let soak_cmd args =
-  let port = ref 8080 in
-  let requests = ref 40 in
-  let timeout = ref 30.0 in
-  let expect_compacted = ref false in
-  let int_arg name v =
-    match int_of_string_opt v with
-    | Some i when i > 0 -> i
-    | _ -> usage_error (Printf.sprintf "%s expects a positive integer, got %S" name v)
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--port" :: n :: rest ->
-        port := int_arg "--port" n;
-        parse rest
-    | "--requests" :: n :: rest ->
-        requests := int_arg "--requests" n;
-        parse rest
-    | "--timeout" :: s :: rest ->
-        (match float_of_string_opt s with
-        | Some f when f > 0. -> timeout := f
-        | _ -> usage_error (Printf.sprintf "--timeout expects seconds, got %S" s));
-        parse rest
-    | "--small" :: rest ->
-        (* lighter load for CI: fewer normal-phase requests *)
-        requests := min !requests 20;
-        parse rest
-    | "--expect-compacted" :: rest ->
-        expect_compacted := true;
-        parse rest
-    | a :: _ -> usage_error (Printf.sprintf "soak: unknown argument %s" a)
-  in
-  parse args;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let get path = Httpd.request ~port:!port path in
-  let rec wait_ready tries =
-    if tries = 0 then begin
-      Printf.eprintf "soak: daemon on port %d not ready, giving up\n%!" !port;
-      exit 1
-    end
-    else
-      match get "/healthz" with
-      | Ok (200, _) -> ()
-      | _ ->
-          Unix.sleepf 0.25;
-          wait_ready (tries - 1)
-  in
-  wait_ready 40;
-  let compile_posts = ref 0 in
-  let post_compile workload =
-    incr compile_posts;
-    let body =
-      Printf.sprintf "{\"workload\":%S,\"flow\":\"ours\",\"tile\":32,\"small\":true}"
-        workload
-    in
-    let t0 = Unix.gettimeofday () in
-    let r = Httpd.request ~meth:"POST" ~body ~port:!port "/compile" in
-    ((Unix.gettimeofday () -. t0) *. 1e3, r)
-  in
-  (* 1. normal phase: paced good traffic *)
-  let latencies = ref [] in
-  for _ = 1 to !requests do
-    (match post_compile "conv2d" with
-    | ms, Ok (200, _) -> latencies := ms :: !latencies
-    | _, Ok (status, body) ->
-        fail "normal phase: POST /compile status %d (%s)" status (String.trim body)
-    | _, Error msg -> fail "normal phase: POST /compile: %s" msg);
-    Unix.sleepf 0.01
-  done;
-  (* 2. burst: unknown-workload errors (plus their latency) until the
-     watchdog degrades /healthz, or the timeout expires *)
-  let t_burst = Unix.gettimeofday () in
-  let fired = ref false in
-  while (not !fired) && Unix.gettimeofday () -. t_burst < !timeout do
-    for _ = 1 to 5 do
-      ignore (post_compile "no_such_workload")
-    done;
-    (match get "/healthz" with Ok (503, _) -> fired := true | _ -> ());
-    if not !fired then Unix.sleepf 0.05
-  done;
-  let t_fire = Unix.gettimeofday () -. t_burst in
-  if not !fired then fail "watchdog did not degrade /healthz within %.1fs" !timeout;
-  (* firing rules visible at /alerts, and the counter moved *)
-  let jnum k j =
-    match Json_util.Json.member k j with
-    | Some (Json_util.Json.Num f) -> Some f
-    | _ -> None
-  in
-  let firing_rules () =
-    match get "/alerts" with
-    | Ok (200, body) -> (
-        match Json_util.Json.parse body with
-        | Ok j -> (
-            match Json_util.Json.member "firing" j with
-            | Some (Json_util.Json.Arr al) ->
-                List.filter_map
-                  (fun a ->
-                    match Json_util.Json.member "rule" a with
-                    | Some (Json_util.Json.Str r) -> Some r
-                    | _ -> None)
-                  al
-            | _ -> [])
-        | Error msg ->
-            fail "GET /alerts: bad JSON: %s" msg;
-            [])
-    | Ok (status, _) ->
-        fail "GET /alerts: status %d" status;
-        []
-    | Error msg ->
-        fail "GET /alerts: %s" msg;
-        []
-  in
-  if !fired && not (List.mem "slo-error-rate" (firing_rules ())) then
-    fail "degraded /healthz without slo-error-rate in /alerts firing list";
-  (match get "/counters" with
-  | Ok (200, body) -> (
-      match Json_util.Json.parse body with
-      | Ok j -> (
-          match jnum "watchdog.alerts_fired" j with
-          | Some v when v >= 1. -> ()
-          | Some v -> fail "watchdog.alerts_fired = %.0f, expected >= 1" v
-          | None -> fail "watchdog.alerts_fired missing from /counters")
-      | Error msg -> fail "GET /counters: bad JSON: %s" msg)
-  | Ok (status, _) -> fail "GET /counters: status %d" status
-  | Error msg -> fail "GET /counters: %s" msg);
-  (* 3. recovery: healthy traffic until the alert clears *)
-  let t_rec = Unix.gettimeofday () in
-  let cleared = ref false in
-  while (not !cleared) && Unix.gettimeofday () -. t_rec < !timeout do
-    for _ = 1 to 3 do
-      ignore (post_compile "conv2d")
-    done;
-    (match get "/healthz" with Ok (200, _) -> cleared := true | _ -> ());
-    if not !cleared then Unix.sleepf 0.1
-  done;
-  let t_clear = Unix.gettimeofday () -. t_rec in
-  if not !cleared then fail "watchdog did not clear within %.1fs of recovery" !timeout;
-  if !cleared && firing_rules () <> [] then
-    fail "/healthz recovered but /alerts still lists firing rules";
-  (* 4. history: monotone series; the auto union's sums sandwich the
-     per-level sums exactly (every point lives in exactly one level) *)
-  let points metric res =
-    match get (Printf.sprintf "/history/%s?res=%s" metric res) with
-    | Ok (200, body) -> (
-        match Json_util.Json.parse body with
-        | Ok j -> (
-            match Json_util.Json.member "points" j with
-            | Some (Json_util.Json.Arr ps) ->
-                List.filter_map
-                  (fun p ->
-                    match (jnum "ts" p, jnum "sum" p) with
-                    | Some ts, Some sum -> Some (ts, sum)
-                    | _ -> None)
-                  ps
-            | _ -> [])
-        | Error msg ->
-            fail "GET /history/%s: bad JSON: %s" metric msg;
-            [])
-    | Ok (status, _) ->
-        fail "GET /history/%s?res=%s: status %d" metric res status;
-        []
-    | Error msg ->
-        fail "GET /history/%s: %s" metric msg;
-        []
-  in
-  let sum_of ps = List.fold_left (fun acc (_, s) -> acc +. s) 0. ps in
-  let metric = "delta.http.requests" in
-  (* compaction only moves segments once they have sealed and aged past
-     the retention window; under --expect-compacted wait (bounded) for
-     the first downsampled points while the recorder keeps ticking *)
-  if !expect_compacted then begin
-    let t0 = Unix.gettimeofday () in
-    while
-      points metric "10s" = [] && points metric "60s" = []
-      && Unix.gettimeofday () -. t0 < !timeout
-    do
-      Unix.sleepf 0.3
-    done
-  end;
-  let auto1 = points metric "auto" in
-  if auto1 = [] then fail "/history/%s?res=auto returned no points" metric;
-  (let rec mono = function
-     | (t1, _) :: ((t2, _) :: _ as rest) ->
-         if t2 < t1 then fail "/history/%s: non-monotone ts %.3f -> %.3f" metric t1 t2
-         else mono rest
-     | _ -> ()
-   in
-   mono auto1);
-  let lvl = sum_of (points metric "raw") +. sum_of (points metric "10s")
-            +. sum_of (points metric "60s") in
-  let auto2 = points metric "auto" in
-  if not (sum_of auto1 <= lvl && lvl <= sum_of auto2) then
-    fail
-      "level sums not conserved: auto %.0f .. %.0f should sandwich raw+10s+60s %.0f"
-      (sum_of auto1) (sum_of auto2) lvl;
-  if !expect_compacted && points metric "10s" = [] && points metric "60s" = []
-  then fail "no downsampled points despite --expect-compacted";
-  (* 5. sketch: ordered quantiles, exact request count *)
-  (match get "/sketch/compile" with
-  | Ok (200, body) -> (
-      match Json_util.Json.parse body with
-      | Ok j -> (
-          match (jnum "p50" j, jnum "p90" j, jnum "p95" j, jnum "p99" j) with
-          | Some p50, Some p90, Some p95, Some p99 ->
-              if not (p50 <= p90 && p90 <= p95 && p95 <= p99) then
-                fail "sketch quantiles not ordered: %.2f %.2f %.2f %.2f" p50 p90
-                  p95 p99;
-              (match jnum "count" j with
-              | Some c when int_of_float c = !compile_posts -> ()
-              | Some c ->
-                  fail "sketch count %.0f, expected %d compile posts" c
-                    !compile_posts
-              | None -> fail "sketch lacks a count field");
-              (match jnum "rank_error" j with
-              | Some e when e >= 0. -> ()
-              | _ -> fail "sketch lacks a rank_error bound")
-          | _ -> fail "/sketch/compile lacks quantile fields")
-      | Error msg -> fail "GET /sketch/compile: bad JSON: %s" msg)
-  | Ok (status, _) -> fail "GET /sketch/compile: status %d" status
-  | Error msg -> fail "GET /sketch/compile: %s" msg);
-  (* report *)
-  let dg = Digest.of_list !latencies in
-  let pct p = match Digest.quantile dg p with Some v -> v | None -> 0.0 in
-  Printf.printf "soak: %d normal + burst/recovery against port %d\n" !requests
-    !port;
-  Printf.printf "  watchdog    fired after %.2fs of burst, cleared %.2fs into \
-                 recovery\n"
-    t_fire t_clear;
-  if Digest.count dg > 0 then
-    Printf.printf "  latency ms  p50 %.1f   p95 %.1f   p99 %.1f\n" (pct 0.5)
-      (pct 0.95) (pct 0.99);
-  if !failures <> [] then begin
-    Printf.eprintf "soak: %d check(s) failed:\n" (List.length !failures);
-    List.iter (fun m -> Printf.eprintf "  - %s\n" m) (List.rev !failures);
-    exit 1
-  end;
-  Printf.printf
-    "  checks      all passed (fire/clear, history conserved, sketch ordered)\n"
-
 let experiments =
   [ ("table1", Paper_experiments.table1);
     ("fig8", Paper_experiments.fig8);
@@ -1174,7 +664,6 @@ let experiments =
     ("compile_time", Paper_experiments.compile_time);
     ("ablations", Ablations.run_all);
     ("verify", Paper_experiments.verify);
-    ("passes", bechamel_passes);
     ("profile", profile)
   ]
 
@@ -1191,8 +680,6 @@ let () =
   | "report" :: rest -> report_cmd rest
   | "parallel" :: rest -> parallel_cmd rest
   | "tune" :: rest -> tune_cmd rest
-  | "serve" :: rest -> serve_cmd rest
-  | "soak" :: rest -> soak_cmd rest
   | names ->
       List.iter
         (fun n ->

@@ -4,7 +4,10 @@
      list                          available workloads
      compile  -w NAME [options]   run a flow, print schedule tree / code
      run      -w NAME [options]   compile, execute through the CPU model
-     compare  -w NAME [options]   all flows side by side *)
+     compare  -w NAME [options]   all flows side by side
+     explain  -w NAME [options]   decision trace and traffic attribution
+     verify   -w NAME [options]   independent schedule-legality check
+     tune     NAME [options]      model-guided autotuning *)
 
 open Cmdliner
 
@@ -36,6 +39,28 @@ let flow_conv =
       | F_halide -> "halide")
   in
   Arg.conv (parse, print)
+
+(* Malformed values are rejected while parsing, so they surface as a
+   usage error (exit 124) naming the value, never as an exception from
+   deep inside the compiler. *)
+let workload_conv =
+  let parse s =
+    if List.mem s Registry.names then Ok s
+    else
+      Error
+        (`Msg
+          (Printf.sprintf "unknown workload %s (available: %s)" s
+             (String.concat ", " Registry.names)))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
 let version_of flow ~tile prog =
   match flow with
@@ -70,8 +95,6 @@ let obs_begin ?(json = false) ~stats ~trace () =
   let trace =
     match trace with Some _ -> trace | None -> Sys.getenv_opt "MEMCOMP_TRACE"
   in
-  (* MEMCOMP_TRACE_CAP bounds the trace ring on any CLI run *)
-  Cli_util.apply_trace_cap None;
   if stats || trace <> None then begin
     Obs.reset ();
     Obs.enable ()
@@ -93,11 +116,12 @@ let obs_begin ?(json = false) ~stats ~trace () =
 let workload_arg =
   Arg.(
     required
-    & opt (some string) None
+    & opt (some workload_conv) None
     & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Workload name (see list).")
 
 let tile_arg =
-  Arg.(value & opt int 32 & info [ "t"; "tile" ] ~docv:"N" ~doc:"Tile size.")
+  Arg.(
+    value & opt positive_int 32 & info [ "t"; "tile" ] ~docv:"N" ~doc:"Tile size.")
 
 let small_arg =
   Arg.(value & flag & info [ "small" ] ~doc:"Use the reduced test-size instance.")
@@ -196,7 +220,9 @@ let compile_cmd =
 let run_cmd =
   let doc = "Compile and execute a workload through the trace-driven CPU model." in
   let threads =
-    Arg.(value & opt int 32 & info [ "j"; "threads" ] ~docv:"N" ~doc:"Thread count.")
+    Arg.(
+      value & opt positive_int 32
+      & info [ "j"; "threads" ] ~docv:"N" ~doc:"Thread count.")
   in
   let run_parallel =
     Arg.(
@@ -431,7 +457,7 @@ let tune_cmd =
   let workload_pos =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some workload_conv) None
       & info [] ~docv:"WORKLOAD" ~doc:"Workload name (see list).")
   in
   let strategy_conv =
@@ -515,191 +541,6 @@ let tune_cmd =
       $ jobs_arg $ seed_arg $ db_arg $ force_arg $ json_flag $ stats_arg
       $ trace_arg)
 
-let serve_cmd =
-  let doc =
-    "Run the long-lived compile daemon: POST /compile, GET /metrics \
-     (OpenMetrics), /healthz, /buildinfo, per-request Chrome traces at \
-     /trace/<req-id>, and the flight recorder's /history, /sketch and \
-     /alerts endpoints (continuous self-scrape into an on-disk time-series \
-     store with an SLO/anomaly watchdog). Serves on the loopback interface \
-     until SIGTERM/SIGINT."
-  in
-  let port_arg =
-    Arg.(
-      value & opt int 8080
-      & info [ "p"; "port" ] ~docv:"PORT"
-          ~doc:"TCP port to bind on 127.0.0.1 (0 picks a free port).")
-  in
-  let log_level_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "log-level" ] ~docv:"LEVEL"
-          ~doc:
-            "Structured-log threshold: debug | info | warn | error (fallback: \
-             the MEMCOMP_LOG environment variable; default warn). Logs are \
-             JSONL on stderr; compile requests carry a correlating req id.")
-  in
-  let tune_db_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tune-db" ] ~docv:"PATH"
-          ~doc:
-            "Tuning database backing the \"tuned\" compile flow and \
-             GET /tuned/<workload> (fallback: the MEMCOMP_TUNE_DB \
-             environment variable).")
-  in
-  let scrape_interval_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "scrape-interval" ] ~docv:"SECONDS"
-          ~doc:
-            "Flight-recorder self-scrape period (fallback: the \
-             MEMCOMP_SCRAPE_INTERVAL environment variable; default 1.0).")
-  in
-  let tsdb_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tsdb" ] ~docv:"DIR"
-          ~doc:
-            "Flight-recorder time-series directory (fallback: the \
-             MEMCOMP_TSDB environment variable; default: a fresh temporary \
-             directory).")
-  in
-  let tsdb_retention_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "tsdb-retention" ] ~docv:"SECONDS"
-          ~doc:
-            "Raw-resolution retention window; points older than this \
-             downsample to 10s resolution (and to 60s after 15x this \
-             window). Default 600.")
-  in
-  let tsdb_seg_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "tsdb-seg" ] ~docv:"POINTS"
-          ~doc:
-            "Points per raw time-series segment before rotation (default \
-             2048; smaller segments age into coarser resolutions sooner).")
-  in
-  let trace_cap_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "trace-cap" ] ~docv:"N"
-          ~doc:
-            "Bound the in-memory trace-event ring (fallback: the \
-             MEMCOMP_TRACE_CAP environment variable).")
-  in
-  let slo_error_rate_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "slo-error-rate" ] ~docv:"FRACTION"
-          ~doc:"Watchdog error-rate threshold per scrape window (default 0.5).")
-  in
-  let slo_p99_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "slo-p99-ms" ] ~docv:"MS"
-          ~doc:"Watchdog p99 compile-latency threshold (default 5000).")
-  in
-  let run port jobs log_level tune_db scrape_interval tsdb tsdb_retention
-      tsdb_seg trace_cap slo_error_rate slo_p99 =
-    (match Cli_util.set_log_level log_level with
-    | Ok () -> ()
-    | Error msg ->
-        Printf.eprintf "memcomp serve: %s\n%!" msg;
-        Stdlib.exit 2);
-    Cli_util.apply_trace_cap trace_cap;
-    let tune_db =
-      match tune_db with
-      | Some _ -> tune_db
-      | None -> Sys.getenv_opt "MEMCOMP_TUNE_DB"
-    in
-    let interval =
-      match scrape_interval with
-      | Some s -> s
-      | None -> (
-          match
-            Option.bind (Sys.getenv_opt "MEMCOMP_SCRAPE_INTERVAL")
-              float_of_string_opt
-          with
-          | Some s -> s
-          | None -> Flight.default_cfg.Flight.fl_interval_s)
-    in
-    let tsdb_dir =
-      match tsdb with Some _ -> tsdb | None -> Sys.getenv_opt "MEMCOMP_TSDB"
-    in
-    let tsdb_cfg =
-      let c =
-        match tsdb_retention with
-        | None -> Tsdb.default_config
-        | Some raw ->
-            { Tsdb.default_config with
-              Tsdb.ret_raw_s = raw;
-              Tsdb.ret_mid_s = 15. *. raw
-            }
-      in
-      match tsdb_seg with
-      | Some n -> { c with Tsdb.seg_points = max 16 n }
-      | None -> c
-    in
-    let flight =
-      { Flight.fl_interval_s = Float.max 0.01 interval;
-        Flight.fl_dir = tsdb_dir;
-        Flight.fl_tsdb = tsdb_cfg;
-        Flight.fl_rules =
-          Watchdog.default_rules ?error_rate:slo_error_rate ?p99_ms:slo_p99 ()
-      }
-    in
-    Server.run ~port ~workers:(resolve_jobs jobs) ?tune_db ~flight ()
-  in
-  Cmd.v (Cmd.info "serve" ~doc)
-    Term.(
-      const run $ port_arg $ jobs_arg $ log_level_arg $ tune_db_arg
-      $ scrape_interval_arg $ tsdb_arg $ tsdb_retention_arg $ tsdb_seg_arg
-      $ trace_cap_arg $ slo_error_rate_arg $ slo_p99_arg)
-
-let top_cmd =
-  let doc =
-    "Live terminal dashboard over a running serve daemon: request \
-     throughput, latency-quantile sparklines from the flight recorder, \
-     compile-flow mix, cache hit ratio, process gauges and firing watchdog \
-     alerts. --once prints a single frame; --once --json emits a \
-     machine-readable document."
-  in
-  let port_arg =
-    Arg.(
-      value & opt int 8080
-      & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Daemon port on 127.0.0.1.")
-  in
-  let interval_arg =
-    Arg.(
-      value & opt float 1.0
-      & info [ "interval" ] ~docv:"SECONDS" ~doc:"Refresh period (default 1).")
-  in
-  let once_arg =
-    Arg.(value & flag & info [ "once" ] ~doc:"Print one frame and exit.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"With --once: emit JSON instead of the frame.")
-  in
-  let run port interval once json =
-    Stdlib.exit (Top.run ~port ~interval ~once:(once || json) ~json)
-  in
-  Cmd.v (Cmd.info "top" ~doc)
-    Term.(const run $ port_arg $ interval_arg $ once_arg $ json_arg)
-
 let () =
   let doc =
     "post-tiling fusion: compositing automatic transformations on computations \
@@ -710,4 +551,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; compile_cmd; run_cmd; compare_cmd; explain_cmd;
-            verify_cmd; tune_cmd; serve_cmd; top_cmd ]))
+            verify_cmd; tune_cmd ]))

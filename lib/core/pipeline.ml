@@ -67,10 +67,6 @@ let run ?(startup = Fusion.Smartfuse) ?(tile_size = 32) ?tile_sizes_for
   Obs.span "pipeline.compile" @@ fun () ->
   Obs.count "pipeline.compiles";
   Obs.count "pipeline.runs";
-  Log.info ~cat:"pipeline" "compile.begin"
-    [ ("prog", Json_util.S prog.Prog.prog_name); ("flow", Json_util.S "ours");
-      ("tile", Json_util.I tile_size)
-    ];
   let deps = Obs.span "pipeline.deps" (fun () -> Deps.compute prog) in
   let cap = parallelism_cap target in
   let result =
@@ -139,11 +135,6 @@ let run_heuristic ?(tile_size = 32) ?max_steps ?fuse_reductions ~target
     heuristic prog =
   Obs.span "pipeline.compile_heuristic" @@ fun () ->
   Obs.count "pipeline.runs";
-  Log.info ~cat:"pipeline" "compile.begin"
-    [ ("prog", Json_util.S prog.Prog.prog_name);
-      ("flow", Json_util.S (Fusion.heuristic_name heuristic));
-      ("tile", Json_util.I tile_size)
-    ];
   let deps = Obs.span "pipeline.deps" (fun () -> Deps.compute prog) in
   let cap = parallelism_cap target in
   let result =

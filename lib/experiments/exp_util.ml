@@ -12,8 +12,9 @@ type version = {
   budget_exceeded : bool;
 }
 
-(* Atomic: versions are built concurrently by the serve daemon's worker
-   domains, and a duplicated uid would alias profile-cache entries. *)
+(* Atomic: versions can be built concurrently on several domains (the
+   tuner's parallel candidate evaluation), and a duplicated uid would
+   alias profile-cache entries. *)
 let next_uid =
   let c = Atomic.make 0 in
   fun () -> Atomic.fetch_and_add c 1 + 1

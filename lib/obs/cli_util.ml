@@ -43,23 +43,3 @@ let shrink_from_argv ?(argv = Sys.argv) () =
   in
   let on, args = strip [] env (Array.to_list argv) in
   (on, Array.of_list args)
-
-let resolve_trace_cap flag =
-  let cap =
-    match flag with Some n -> Some n | None -> int_env "MEMCOMP_TRACE_CAP"
-  in
-  Option.map (max 0) cap
-
-let apply_trace_cap flag =
-  match resolve_trace_cap flag with
-  | Some cap -> Obs.set_trace_capacity cap
-  | None -> ()
-
-let set_log_level = function
-  | None -> Ok ()
-  | Some s -> (
-      match Log.level_of_string s with
-      | Ok l ->
-          Log.set_level l;
-          Ok ()
-      | Error msg -> Error msg)

@@ -1,14 +1,12 @@
 (** Shared CLI/environment knob resolution used by the drivers
     ([bin/memcomp.ml], [bench/main.ml]) and the test harness.
 
-    Three knobs recur across every executable in the tree, each with a
+    Three knobs recur across the executables in the tree, each with a
     command-line spelling that wins over an environment fallback:
 
     - worker count: [--jobs N] over [MEMCOMP_JOBS], default 1;
     - fuzz seed: [--seed N] over [FUZZ_SEED], default 0;
-    - log threshold: [--log-level L] over [MEMCOMP_LOG], default warn;
-    - trace ring capacity: [--trace-cap N] over [MEMCOMP_TRACE_CAP],
-      default the {!Obs} built-in ring size.
+    - fuzz shrinking: [--shrink] over [FUZZ_SHRINK], default off.
 
     This module is the single home of those precedence rules, so a new
     subcommand (e.g. [memcomp tune]) inherits them by construction. *)
@@ -33,18 +31,3 @@ val shrink_from_argv : ?argv:string array -> unit -> bool * string array
     requested: the flag, or a non-empty/non-false [FUZZ_SHRINK]
     environment value. Compose with {!seed_from_argv} by passing its
     returned argv. *)
-
-val resolve_trace_cap : int option -> int option
-(** Trace-ring capacity: the [--trace-cap N] flag value when given,
-    else [MEMCOMP_TRACE_CAP] when it parses as an integer, else [None]
-    (leave [Obs]'s default in place). Clamped to at least 0. *)
-
-val apply_trace_cap : int option -> unit
-(** {!resolve_trace_cap}, applied via [Obs.set_trace_capacity] when a
-    cap is configured. Call once at executable start-up, before
-    tracing begins. *)
-
-val set_log_level : string option -> (unit, string) result
-(** Apply the structured-log threshold: the flag value when given
-    (rejecting unknown level names with an error message), else leave
-    {!Log}'s own [MEMCOMP_LOG] initialisation in place. *)

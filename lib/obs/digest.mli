@@ -24,9 +24,9 @@
     Tests validate estimates against sorted-array ground truth within
     exactly this bound.
 
-    Not thread-safe: guard a shared digest with a mutex (the serve
-    daemon does). Queries flush an internal insert buffer, so they
-    mutate the representation but never the distribution. *)
+    Not thread-safe: guard a shared digest with a mutex. Queries
+    flush an internal insert buffer, so they mutate the representation
+    but never the distribution. *)
 
 type t
 

@@ -56,8 +56,8 @@ let reset_unlocked () =
 
 let reset () = with_lock reset_unlocked
 
-(* Clear the ring atomically with the Obs registries, so a reset
-   between requests cannot leak a prior request's events. *)
+(* Clear the ring atomically with the Obs registries, so a merged trace
+   never pairs spans from after a reset with events from before it. *)
 let () = Obs.on_reset reset_unlocked
 
 let set_capacity n =
@@ -65,16 +65,8 @@ let set_capacity n =
       cap := max 1 n;
       reset_unlocked ())
 
-let capacity () = !cap
-
 let emit ?ts_s ?(dur_s = 0.0) ?(cat = "event") name args =
   if Obs.is_enabled () then begin
-    (* Tag with the serving request id unless the caller already did. *)
-    let args =
-      match Obs.request_id () with
-      | Some id when not (List.mem_assoc "req" args) -> args @ [ ("req", S id) ]
-      | _ -> args
-    in
     let ts = match ts_s with Some t -> t | None -> Obs.elapsed_s () in
     with_lock (fun () ->
         let e = { seq = !total; ts_s = ts; dur_s; cat; name; args } in
@@ -97,23 +89,18 @@ let emit ?ts_s ?(dur_s = 0.0) ?(cat = "event") name args =
 
 let find e key = List.assoc_opt key e.args
 
-let recorded ?req () =
-  let all =
-    with_lock (fun () ->
-        let b = !buf in
-        let n = Array.length b in
-        let rec go i acc =
-          if i < 0 then acc
-          else
-            match b.((!start + i) mod n) with
-            | Some e -> go (i - 1) (e :: acc)
-            | None -> go (i - 1) acc
-        in
-        if n = 0 then [] else go (!len - 1) [])
-  in
-  match req with
-  | None -> all
-  | Some r -> List.filter (fun e -> find e "req" = Some (S r)) all
+let recorded () =
+  with_lock (fun () ->
+      let b = !buf in
+      let n = Array.length b in
+      let rec go i acc =
+        if i < 0 then acc
+        else
+          match b.((!start + i) mod n) with
+          | Some e -> go (i - 1) (e :: acc)
+          | None -> go (i - 1) acc
+      in
+      if n = 0 then [] else go (!len - 1) [])
 
 let emitted () = !total
 
@@ -149,12 +136,6 @@ let to_jsonl () =
       Buffer.add_char b '\n')
     (recorded ());
   Buffer.contents b
-
-let write_jsonl path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl ()))
 
 (* --- parsing --------------------------------------------------------- *)
 
@@ -376,10 +357,8 @@ let of_jsonl text =
 (* Spans render on tid 1 exactly as in [Obs.chrome_trace]; structured
    events on tid 2 as instant ("i") events, or complete ("X") when they
    carry a duration. Everything except the leading metadata event is
-   sorted by timestamp so trace consumers see one merged timeline.
-   [?req] restricts both stores to one request's records — the payload
-   of the serve daemon's [GET /trace/<req-id>]. *)
-let chrome_trace ?req () =
+   sorted by timestamp so trace consumers see one merged timeline. *)
+let chrome_trace () =
   let rows = ref [] in
   let push ts rendered = rows := (ts, List.length !rows, rendered) :: !rows in
   List.iter
@@ -389,7 +368,7 @@ let chrome_trace ?req () =
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"pass\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"depth\":%d}}"
            (Json_util.escape name) ts (dur_s *. 1e6) depth))
-    (Obs.trace_events ?req ());
+    (Obs.trace_events ());
   List.iter
     (fun (e : t) ->
       let ts = e.ts_s *. 1e6 in
@@ -413,7 +392,7 @@ let chrome_trace ?req () =
             (Buffer.contents args)
       in
       push ts rendered)
-    (recorded ?req ());
+    (recorded ());
   let sorted =
     List.sort
       (fun (ta, ia, _) (tb, ib, _) ->

@@ -7,11 +7,9 @@
     clock, an optional duration, and a payload of typed key/values.
     Recording is gated on [Obs.is_enabled] and bounded by a ring
     buffer, so instrumented paths are safe to leave in hot code. The
-    ring is guarded by a mutex, so concurrent domains can emit safely.
-
-    When the recording domain has a request-correlation id set (see
-    {!Obs.set_request_id}), [emit] tags the event with a ["req"] arg so
-    per-request traces can be carved out of the shared ring.
+    ring is guarded by a mutex, so concurrent domains (the tuner's
+    parallel candidate evaluation, the tile-graph runtime) can emit
+    safely.
 
     Exporters: JSONL (one event per line, round-trippable with
     {!of_jsonl}) and a Chrome trace that merges structured events with
@@ -42,23 +40,18 @@ val set_capacity : int -> unit
 (** Resize the ring buffer (clamped to >= 1). Discards recorded events
     and resets the emission counter. Default capacity: 65536. *)
 
-val capacity : unit -> int
-
 (** {1 Recording} *)
 
 val emit :
   ?ts_s:float -> ?dur_s:float -> ?cat:string -> string -> (string * value) list -> unit
 (** [emit name args] records an event stamped [Obs.elapsed_s ()] (or
     the explicit [ts_s]). No-op while [Obs] is disabled. When the ring
-    is full the oldest event is dropped. If the recording domain has a
-    request id set, a [("req", S id)] arg is appended unless the caller
-    already supplied one. *)
+    is full the oldest event is dropped. *)
 
 (** {1 Inspection} *)
 
-val recorded : ?req:string -> unit -> t list
-(** Retained events, oldest first. [?req] restricts to events tagged
-    with that request id. *)
+val recorded : unit -> t list
+(** Retained events, oldest first. *)
 
 val emitted : unit -> int
 (** Total events emitted since the last reset, including dropped. *)
@@ -82,13 +75,10 @@ val of_jsonl : string -> (t list, string) result
 (** Parse [to_jsonl] output back into events. Int/float payload values
     survive the round trip exactly. *)
 
-val write_jsonl : string -> unit
-
-val chrome_trace : ?req:string -> unit -> string
+val chrome_trace : unit -> string
 (** Chrome trace_event JSON merging [Obs] span intervals (tid 1) with
     structured events (tid 2, instant ["i"] or complete ["X"] when a
     duration is present), in non-decreasing timestamp order, plus the
-    final [Obs] counters ["C"] event. [?req] restricts both stores to
-    one request's records. *)
+    final [Obs] counters ["C"] event. *)
 
 val write_chrome_trace : string -> unit

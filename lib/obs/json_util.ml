@@ -1,9 +1,9 @@
 (* Shared JSON primitives for the observability layer.
 
    One escaper for every JSON producer in the tree (Obs exporters,
-   Events JSONL, Snapshot files, the log and OpenMetrics renderers, the
-   serve daemon), one typed payload value, and the minimal JSON
-   document parser/printer that used to live inside Snapshot. Keeping
+   Events JSONL, Snapshot files, tuning reports), one typed payload
+   value, and the minimal JSON document parser/printer that used to
+   live inside Snapshot. Keeping
    them here, below Obs in the dependency graph, means every module
    escapes strings byte-identically. *)
 
@@ -24,7 +24,7 @@ let escape s =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Typed payload values (shared by Events and Log)                     *)
+(* Typed payload values (the Events payload)                           *)
 (* ------------------------------------------------------------------ *)
 
 type value = S of string | I of int | F of float | B of bool
@@ -54,7 +54,7 @@ let value_to_string = function
 
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON documents: enough for the snapshot schema and the      *)
-(* serve daemon's request bodies; exact float round-trip via %.17g.    *)
+(* tuning database; exact float round-trip via %.17g.                  *)
 (* ------------------------------------------------------------------ *)
 
 module Json = struct

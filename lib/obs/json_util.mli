@@ -1,7 +1,7 @@
 (** Shared JSON primitives for the observability layer: the single
     string escaper used by every JSON producer in the tree, the typed
-    payload value shared by {!Events} and {!Log}, and the minimal JSON
-    document parser/printer (formerly private to {!Snapshot}). *)
+    payload value of {!Events}, and the minimal JSON document
+    parser/printer (formerly private to {!Snapshot}). *)
 
 val escape : string -> string
 (** Escape a string for embedding in a JSON string literal. *)
@@ -21,7 +21,7 @@ val value_to_string : value -> string
 (** Human-readable rendering (no quotes around strings). *)
 
 (** Minimal JSON documents — parser and printer sufficient for the
-    snapshot schema and the serve daemon's request bodies. Floats print
+    snapshot schema, the tuning database and tuning reports. Floats print
     with [%.17g] so every finite double round-trips exactly. *)
 module Json : sig
   type t =

@@ -1,5 +1,5 @@
 (* Compiler-wide observability: hierarchical timed spans, monotonic
-   counters and log-scale histograms, with three exporters (human stats
+   counters and summary histograms, with three exporters (human stats
    table, machine JSON, Chrome trace_event JSON).
 
    Everything is off by default: each entry point starts with a single
@@ -8,12 +8,11 @@
    disabled.
 
    Domain safety: all registries (counters, span stats, histograms and
-   the span-event ring) live behind one mutex, so compiles running
-   concurrently across OCaml 5 domains — the serve daemon's normal
-   operating mode — accumulate exact totals. Span nesting depth and
-   the request-correlation id are domain-local (DLS), so spans nest
-   per domain and every recorded span/event can be attributed to the
-   request its domain was serving.
+   the span-event ring) live behind one mutex, so work running
+   concurrently across OCaml 5 domains — the tuner's parallel candidate
+   evaluation, the tile-graph runtime's workers — accumulates exact
+   totals. Span nesting depth is domain-local (DLS), so spans nest per
+   domain.
 
    Counter naming scheme: dotted lowercase [layer.entity[.metric]],
    e.g. "fm.eliminate", "bmap.apply_range", "cache.L1.hits",
@@ -33,15 +32,11 @@ type span_stat = {
   mutable max_s : float;
 }
 
-let n_buckets = 32
-
 type histogram = {
   mutable h_count : int;
   mutable h_sum : float;
   mutable h_min : float;
   mutable h_max : float;
-  h_buckets : int array;
-      (* bucket 0: v < 1; bucket i >= 1: 2^(i-1) <= v < 2^i (log2 scale) *)
 }
 
 type event = {
@@ -49,7 +44,6 @@ type event = {
   ev_start_s : float;  (* relative to the epoch set by [reset] *)
   ev_dur_s : float;
   ev_depth : int;
-  ev_req : string option;  (* request id of the recording domain *)
 }
 
 (* One mutex guards every registry below. Lock order: this mutex may be
@@ -73,48 +67,25 @@ let span_stats : (string, span_stat) Hashtbl.t = Hashtbl.create 64
 
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 64
 
-(* Completed spans in completion order, kept in a bounded ring so a
-   long-running daemon keeps the newest intervals instead of going
-   silent once full. *)
+(* Completed spans in completion order, kept in a bounded ring: once
+   full, the oldest interval is dropped so a very long run keeps its
+   newest spans instead of growing without bound. *)
 let events : event Queue.t = Queue.create ()
 
-let max_events = ref 1_000_000
+let max_events = 1_000_000
 
-let set_trace_capacity n =
-  with_lock (fun () ->
-      max_events := max 1 n;
-      while Queue.length events > !max_events do
-        ignore (Queue.pop events)
-      done)
-
-(* Span nesting depth is domain-local: concurrent requests nest their
+(* Span nesting depth is domain-local: concurrent domains nest their
    own spans without seeing each other's depth. *)
 let depth_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-
-(* Request-correlation id: set around each served request; attached to
-   every span interval and structured event recorded by this domain,
-   and to every log line. *)
-let req_key : string option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let request_id () = !(Domain.DLS.get req_key)
-
-let set_request_id r = Domain.DLS.get req_key := r
-
-let with_request_id id f =
-  let r = Domain.DLS.get req_key in
-  let old = !r in
-  r := Some id;
-  Fun.protect ~finally:(fun () -> r := old) f
 
 let now () = Unix.gettimeofday ()
 
 let epoch = ref (now ())
 
 (* Reset hooks let sibling modules (Events) clear their buffers inside
-   the same critical section, so a reset between requests cannot leak a
-   prior request's trace into the next scrape. Hooks must not call back
-   into Obs. *)
+   the same critical section, so a reset racing with a recording domain
+   cannot leave spans from before it next to events from after it.
+   Hooks must not call back into Obs. *)
 let reset_hooks : (unit -> unit) list ref = ref []
 
 let on_reset f = reset_hooks := f :: !reset_hooks
@@ -163,17 +134,6 @@ let counters_alist () =
 (* Histograms                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let bucket_of v =
-  if v < 1.0 then 0
-  else begin
-    let rec go i x = if x < 2.0 || i >= n_buckets - 1 then i else go (i + 1) (x /. 2.0) in
-    go 1 v
-  end
-
-(* Upper bound of bucket [i] ([infinity] for the last, which absorbs
-   every larger value); used by the OpenMetrics exposition. *)
-let bucket_le i = if i >= n_buckets - 1 then infinity else Float.of_int (1 lsl i)
-
 let observe name v =
   if !enabled then
     with_lock (fun () ->
@@ -185,8 +145,7 @@ let observe name v =
                 { h_count = 0;
                   h_sum = 0.0;
                   h_min = infinity;
-                  h_max = neg_infinity;
-                  h_buckets = Array.make n_buckets 0
+                  h_max = neg_infinity
                 }
               in
               Hashtbl.add histograms name h;
@@ -195,9 +154,7 @@ let observe name v =
         h.h_count <- h.h_count + 1;
         h.h_sum <- h.h_sum +. v;
         if v < h.h_min then h.h_min <- v;
-        if v > h.h_max then h.h_max <- v;
-        let b = bucket_of v in
-        h.h_buckets.(b) <- h.h_buckets.(b) + 1)
+        if v > h.h_max then h.h_max <- v)
 
 let observe_int name v = observe name (float_of_int v)
 
@@ -205,12 +162,6 @@ let histogram_summary name =
   with_lock (fun () ->
       match Hashtbl.find_opt histograms name with
       | Some h -> Some (h.h_count, h.h_sum, h.h_min, h.h_max)
-      | None -> None)
-
-let histogram_buckets name =
-  with_lock (fun () ->
-      match Hashtbl.find_opt histograms name with
-      | Some h -> Some (Array.copy h.h_buckets)
       | None -> None)
 
 let histograms_alist () =
@@ -224,7 +175,7 @@ let histograms_alist () =
 (* Spans                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let record_span name start_abs dur ~depth ~req =
+let record_span name start_abs dur ~depth =
   with_lock (fun () ->
       (match Hashtbl.find_opt span_stats name with
       | Some s ->
@@ -237,11 +188,10 @@ let record_span name start_abs dur ~depth ~req =
         { ev_name = name;
           ev_start_s = start_abs -. !epoch;
           ev_dur_s = dur;
-          ev_depth = depth;
-          ev_req = req
+          ev_depth = depth
         }
         events;
-      if Queue.length events > !max_events then ignore (Queue.pop events))
+      if Queue.length events > max_events then ignore (Queue.pop events))
 
 let span name f =
   if not !enabled then f ()
@@ -251,7 +201,7 @@ let span name f =
     incr d;
     let finish () =
       decr d;
-      record_span name start (now () -. start) ~depth:!d ~req:(request_id ())
+      record_span name start (now () -. start) ~depth:!d
     in
     match f () with
     | v ->
@@ -280,20 +230,14 @@ let spans_alist () =
   |> List.sort (fun (na, (_, ta, _)) (nb, (_, tb, _)) ->
          match compare tb ta with 0 -> compare na nb | c -> c)
 
-let recorded_events ?req () =
-  with_lock (fun () ->
-      Queue.fold
-        (fun acc e ->
-          match req with
-          | Some r when e.ev_req <> Some r -> acc
-          | _ -> e :: acc)
-        [] events)
+let recorded_events () =
+  with_lock (fun () -> Queue.fold (fun acc e -> e :: acc) [] events)
   |> List.rev
 
-let trace_events ?req () =
+let trace_events () =
   List.map
     (fun e -> (e.ev_name, e.ev_start_s, e.ev_dur_s, e.ev_depth))
-    (recorded_events ?req ())
+    (recorded_events ())
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)

@@ -1,14 +1,14 @@
 (** Compiler-wide observability: hierarchical timed spans, monotonic
-    counters and log-scale histograms, plus exporters (human-readable
+    counters and summary histograms, plus exporters (human-readable
     stats table, machine-readable JSON, Chrome trace_event JSON).
 
     Disabled by default; when disabled every entry point is a single
     flag check, so instrumentation in hot paths is essentially free.
 
-    Domain-safe: all registries are guarded by one mutex, so compiles
-    running concurrently across OCaml 5 domains (the serve daemon, the
-    parallel runtime) accumulate exact totals. Span nesting depth and
-    the request-correlation id are domain-local.
+    Domain-safe: all registries are guarded by one mutex, so work
+    running concurrently across OCaml 5 domains (the tuner's parallel
+    candidate evaluation, the tile-graph runtime's workers) accumulates
+    exact totals. Span nesting depth is domain-local.
 
     Naming scheme: dotted lowercase [layer.entity[.metric]], e.g.
     ["fm.eliminate"], ["bmap.apply_range"], ["cache.L1.hits"],
@@ -27,8 +27,8 @@ val is_enabled : unit -> bool
 val reset : unit -> unit
 (** Drop all recorded spans, counters, histograms and trace events,
     restart the trace clock epoch, and run every hook registered with
-    {!on_reset} — all inside one critical section, so a reset between
-    requests cannot leak a prior request's data into the next scrape. *)
+    {!on_reset} — all inside one critical section, so a domain that is
+    still recording never sees the registries half cleared. *)
 
 val on_reset : (unit -> unit) -> unit
 (** Register a hook run (inside the registry lock) at every {!reset}.
@@ -39,19 +39,6 @@ val elapsed_s : unit -> float
 (** Seconds since the trace clock epoch set by [reset]. Timestamps on
     structured events (see {!Events}) use this clock so they line up
     with span intervals in a merged Chrome trace. *)
-
-(** {1 Request correlation} *)
-
-val set_request_id : string option -> unit
-(** Set (or clear) the current domain's request-correlation id. Spans
-    and structured events recorded while it is set are tagged with it,
-    as are {!Log} lines. *)
-
-val request_id : unit -> string option
-
-val with_request_id : string -> (unit -> 'a) -> 'a
-(** [with_request_id id f] runs [f] with the id set, restoring the
-    previous id afterwards (also on exception). *)
 
 (** {1 Recording} *)
 
@@ -69,7 +56,8 @@ val add : string -> int -> unit
 (** Increment a named monotonic counter by [n]. *)
 
 val observe : string -> float -> unit
-(** Record a value into a named log2-bucketed histogram. *)
+(** Record a value into a named histogram, which keeps the count, sum,
+    minimum and maximum of everything observed. *)
 
 val observe_int : string -> int -> unit
 
@@ -94,33 +82,14 @@ val histogram_summary : string -> (int * float * float * float) option
 
 val histograms_alist : unit -> (string * (int * float * float * float)) list
 
-val histogram_buckets : string -> int array option
-(** Per-bucket occupancy (a copy). Bucket 0 holds values < 1; bucket
-    [i >= 1] holds [2^(i-1) <= v < 2^i]; the last bucket absorbs every
-    larger value. Consumed by the OpenMetrics exposition. *)
-
-val n_buckets : int
-(** Number of histogram buckets (32). *)
-
-val bucket_le : int -> float
-(** Upper bound of bucket [i]; [infinity] for the last bucket. *)
-
-val set_trace_capacity : int -> unit
-(** Bound the span-interval ring (default 1_000_000). When full the
-    oldest interval is dropped, so a long-running daemon keeps the
-    newest spans. Aggregate span stats are unaffected. *)
-
-val trace_events : ?req:string -> unit -> (string * float * float * int) list
+val trace_events : unit -> (string * float * float * int) list
 (** Completed span intervals as [(name, start_s, dur_s, depth)] in
-    completion order, with [start_s] relative to the epoch. [?req]
-    restricts to intervals recorded under that request id. Consumed by
-    {!Events.chrome_trace} to merge spans and structured events. *)
+    completion order, with [start_s] relative to the epoch. The ring
+    holds the newest 1_000_000 intervals; aggregate span stats count
+    every span. Consumed by {!Events.chrome_trace} to merge spans and
+    structured events. *)
 
 (** {1 Exporters} *)
-
-val escape_json : string -> string
-(** Escape a string for embedding in a JSON string literal (alias of
-    {!Json_util.escape}). *)
 
 val stats_table : unit -> string
 (** Human-readable per-phase time / counter / histogram breakdown. *)

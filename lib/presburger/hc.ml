@@ -12,9 +12,9 @@
    ever aliasing a different system.
 
    A single mutex guards all three tables, so compiles running
-   concurrently across domains (the serve daemon) can intern safely;
-   uncontended Mutex.lock is cheap relative to the structural hashing a
-   probe already does. *)
+   concurrently across domains (the tuner's parallel candidate
+   evaluation) can intern safely; uncontended Mutex.lock is cheap
+   relative to the structural hashing a probe already does. *)
 
 type sys = { sys_id : int; sys_cstrs : Cstr.t list }
 

@@ -15,9 +15,7 @@
    The executor keeps [Obs] off its hot paths: although Obs is now
    mutex-guarded (domain-safe), taking a global lock per tile would
    serialise the workers, so every metric is accumulated in per-worker
-   slots and merged after the domains are joined. Workers only emit
-   per-life-cycle [Log.debug] records, which cost nothing below the
-   debug threshold. *)
+   slots and merged after the domains are joined. *)
 
 type mode = Seq | Wavefront | Dag
 
@@ -290,13 +288,7 @@ let run_dag ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
     in
     loop ();
     insts.(wid) <- stats.Interp.instances;
-    violations.(wid) <- List.rev violations.(wid);
-    if Log.would_log Log.Debug then
-      Log.debug ~cat:"runtime" "worker.done"
-        [ ("worker", Json_util.I wid); ("tiles", Json_util.I tiles.(wid));
-          ("steals", Json_util.I steals.(wid));
-          ("busy_ms", Json_util.F (1e3 *. busy.(wid)))
-        ]
+    violations.(wid) <- List.rev violations.(wid)
   in
   let doms = Array.init (jobs - 1) (fun k -> Domain.spawn (worker (k + 1))) in
   worker 0 ();

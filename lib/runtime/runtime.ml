@@ -30,12 +30,6 @@ let run ?(jobs = 1) ?mode ?(race_check = false) ?max_tiles ?split_depth
         Executor.run { Executor.jobs; mode; race_check } p graph mem)
   in
   let wall_s = Unix.gettimeofday () -. t0 in
-  Log.info ~cat:"runtime" "execute.end"
-    [ ("prog", Json_util.S p.Prog.prog_name);
-      ("tiles", Json_util.I metrics.Executor.m_tiles);
-      ("jobs", Json_util.I jobs);
-      ("wall_ms", Json_util.F (1e3 *. wall_s))
-    ];
   Obs.add "runtime.tiles" metrics.Executor.m_tiles;
   Obs.add "runtime.edges" graph.Tile_graph.n_edges;
   Obs.add "runtime.steals" metrics.Executor.m_steals;

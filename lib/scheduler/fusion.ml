@@ -285,12 +285,6 @@ let merge_nest_atoms (p : Prog.t) atoms =
 let schedule ?(max_steps = 2_000_000) ?(fuse_reductions = true) (p : Prog.t)
     ~deps ~target_parallelism heuristic =
   Obs.span "fusion.schedule" @@ fun () ->
-  if Log.would_log Log.Debug then
-    Log.debug ~cat:"fusion" "schedule.begin"
-      [ ("prog", Json_util.S p.Prog.prog_name);
-        ("heuristic", Json_util.S (heuristic_name heuristic));
-        ("target_parallelism", Json_util.I target_parallelism)
-      ];
   let steps = ref 0 in
   let budget_exceeded = ref false in
   let atoms = merge_nest_atoms p (Deps.sccs p deps) in

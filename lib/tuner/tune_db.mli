@@ -7,8 +7,7 @@
     the compilation target. Re-tuning an unchanged workload with an
     unchanged space hits the stored entry and answers instantly; any
     change to the program, the machine-model constants or the space
-    produces a fresh key and re-tunes. [memcomp serve] consults the
-    same database at compile time to apply tuned configurations. *)
+    produces a fresh key and re-tunes. *)
 
 type entry = {
   en_workload : string;

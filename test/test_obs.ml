@@ -1,6 +1,7 @@
 (* Tests for the lib/obs observability layer: span nesting and timing
    monotonicity, counter accumulation/reset, disabled-mode no-op
-   behaviour, and well-formedness of the Chrome trace / stats JSON. *)
+   behaviour, exact totals under concurrent domains, atomic reset, and
+   well-formedness of the Chrome trace / stats JSON. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -209,6 +210,52 @@ let test_histograms () =
   Obs.disable ()
 
 (* ------------------------------------------------------------------ *)
+(* Domain safety + atomic reset                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The parallel tuner and the runtime workers record from several
+   domains at once; the shared registries must not lose an update. *)
+let test_concurrent_counters_exact () =
+  Obs.reset ();
+  Obs.enable ();
+  let domains = 4 and per_domain = 10_000 in
+  let work () =
+    for _ = 1 to per_domain do
+      Obs.count "stress.counter";
+      Obs.observe "stress.hist" 3.0
+    done
+  in
+  let doms = List.init domains (fun _ -> Domain.spawn work) in
+  List.iter Domain.join doms;
+  check int "counter exact" (domains * per_domain)
+    (Obs.counter_value "stress.counter");
+  (match Obs.histogram_summary "stress.hist" with
+  | Some (count, sum, _, _) ->
+      check int "histogram count exact" (domains * per_domain) count;
+      Alcotest.(check (float 0.001)) "histogram sum exact"
+        (3.0 *. float_of_int (domains * per_domain))
+        sum
+  | None -> Alcotest.fail "histogram missing");
+  Obs.disable ()
+
+let test_reset_clears_everything () =
+  Obs.reset ();
+  Obs.enable ();
+  Obs.count "c";
+  Obs.observe "h" 5.0;
+  Obs.span "s" (fun () -> ());
+  Events.emit "ev" [ ("k", Events.I 1) ];
+  check bool "events recorded" true (Events.recorded () <> []);
+  Obs.reset ();
+  Alcotest.(check (list (pair string int))) "counters cleared" [] (Obs.counters_alist ());
+  check int "histograms cleared" 0 (List.length (Obs.histograms_alist ()));
+  check int "span stats cleared" 0 (List.length (Obs.spans_alist ()));
+  check int "trace events cleared" 0 (List.length (Obs.trace_events ()));
+  check int "event ring cleared" 0 (List.length (Events.recorded ()));
+  check int "emission counter cleared" 0 (Events.emitted ());
+  Obs.disable ()
+
+(* ------------------------------------------------------------------ *)
 (* Span nesting and timing monotonicity                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -351,6 +398,12 @@ let () =
       ( "counters",
         [ Alcotest.test_case "accumulate and reset" `Quick test_counters;
           Alcotest.test_case "histograms" `Quick test_histograms
+        ] );
+      ( "domain-safety",
+        [ Alcotest.test_case "4 domains x 10k exact" `Quick
+            test_concurrent_counters_exact;
+          Alcotest.test_case "reset clears everything" `Quick
+            test_reset_clears_everything
         ] );
       ( "spans",
         [ Alcotest.test_case "nesting and monotonicity" `Quick test_span_nesting;
