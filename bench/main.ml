@@ -26,7 +26,8 @@
                                     jobs sweep of the parallel tile-graph
                                     runtime (lib/runtime): trimmed-mean
                                     wall times, speedup vs --jobs 1, and
-                                    a race-checked equivalence run *)
+                                    a race-checked equivalence run; exit
+                                    1 on a mismatch or a race *)
 
 (* Per-workload/flow counter breakdown through the lib/obs
    instrumentation: compile every registered workload (reduced size)
@@ -88,6 +89,18 @@ let usage_error msg =
   Printf.eprintf "bench: %s\n" msg;
   exit 2
 
+(* Registry entries for a --workloads list: an unknown name is a usage
+   error naming it. *)
+let entries_of names =
+  List.map
+    (fun n ->
+      if List.mem n Registry.names then Registry.find n
+      else
+        usage_error
+          (Printf.sprintf "unknown workload %s (available: %s)" n
+             (String.concat ", " Registry.names)))
+    names
+
 (* The two compilation flows every snapshot covers: the start-up
    heuristic alone, and the paper's full post-tiling-fusion flow. *)
 let snapshot_flows =
@@ -102,11 +115,6 @@ let snapshot_flows =
    driven CPU profile, the traffic volumes from the polyhedral
    footprint model, so a snapshot captures compile-side and machine-
    side behaviour at once. *)
-let deps_of_version p (v : Exp_util.version) =
-  match v.Exp_util.flavor with
-  | Exp_util.Ours c -> c.Core.Pipeline.deps
-  | Exp_util.Naive | Exp_util.Baseline _ -> Deps.compute p
-
 let collect_one ~small (e : Registry.entry) (flow_name, compile) =
   Obs.reset ();
   Presburger.Fm_cache.reset ();
@@ -128,10 +136,8 @@ let collect_one ~small (e : Registry.entry) (flow_name, compile) =
        the runtime.* counters land in the counters map and the
        wall-clock ratio becomes the snapshot's (noisy, non-gating)
        speedup field *)
-    let deps = deps_of_version p v in
-    let seq =
-      Runtime.run ~jobs:1 ~mode:Executor.Seq p ~deps v.Exp_util.ast
-    in
+    let deps = Exp_util.deps_of p v in
+    let seq = Runtime.run ~jobs:1 p ~deps v.Exp_util.ast in
     let par = Runtime.run ~jobs:2 p ~deps v.Exp_util.ast in
     let speedup =
       if par.Runtime.wall_s > 0.0 then
@@ -215,7 +221,7 @@ let snapshot_cmd args =
   let entries =
     match !workloads with
     | None -> Registry.all
-    | Some names -> List.map Registry.find names
+    | Some names -> entries_of names
   in
   let label =
     match !label with
@@ -401,10 +407,15 @@ let default_parallel_workloads =
 
 (* Trimmed mean: drop the min and max sample when we have at least
    three, otherwise plain mean (see EXPERIMENTS.md, speedup
-   methodology). The streaming Digest tracks min/max/sum exactly, so
-   this matches the sort-based computation; test_digest pins the
-   agreement. *)
-let trimmed_mean xs = Digest.trimmed_mean (Digest.of_list xs)
+   methodology). *)
+let trimmed_mean xs =
+  let n = List.length xs in
+  let kept =
+    if n < 3 then xs
+    else List.filteri (fun i _ -> i > 0 && i < n - 1) (List.sort compare xs)
+  in
+  if kept = [] then 0.0
+  else List.fold_left ( +. ) 0.0 kept /. float_of_int (List.length kept)
 
 let parallel_cmd args =
   let small = ref false in
@@ -453,8 +464,8 @@ let parallel_cmd args =
   let jobs = ref (Cli_util.resolve_jobs ~default:4 !jobs_flag) in
   let entries =
     match !workloads with
-    | Some names -> List.map Registry.find names
-    | None -> List.map Registry.find default_parallel_workloads
+    | Some names -> entries_of names
+    | None -> entries_of default_parallel_workloads
   in
   (* powers of two up to --jobs, always ending at --jobs itself *)
   let sweep =
@@ -470,17 +481,18 @@ let parallel_cmd args =
        !tile !repeat !warmup
        (Domain.recommended_domain_count ()));
   let header =
-    [ "workload"; "tiles"; "edges"; "mode" ]
+    [ "workload"; "tiles"; "edges" ]
     @ List.map (fun j -> Printf.sprintf "j=%d ms" j) sweep
     @ [ "speedup"; "semantics"; "races" ]
   in
   let rows = ref [] in
   let measured = ref [] in
+  let failed = ref false in
   List.iter
     (fun (e : Registry.entry) ->
       let p = if !small then e.Registry.small () else e.Registry.build () in
       let v = Exp_util.ours ~tile:!tile ~target:Core.Pipeline.Cpu p in
-      let deps = deps_of_version p v in
+      let deps = Exp_util.deps_of p v in
       let measure j =
         for _ = 1 to !warmup do
           ignore (Runtime.run ~jobs:j p ~deps v.Exp_util.ast)
@@ -509,8 +521,7 @@ let parallel_cmd args =
       rows :=
         ([ e.Registry.reg_name;
            string_of_int (Array.length par.Runtime.graph.Tile_graph.items);
-           string_of_int par.Runtime.graph.Tile_graph.n_edges;
-           Executor.mode_name par.Runtime.metrics.Executor.m_mode
+           string_of_int par.Runtime.graph.Tile_graph.n_edges
          ]
         @ List.map (fun (_, t) -> Printf.sprintf "%.2f" (t *. 1000.0)) times
         @ [ Printf.sprintf "%.2fx" speedup;
@@ -518,13 +529,19 @@ let parallel_cmd args =
             string_of_int (List.length races)
           ])
         :: !rows;
-      if not ok then Printf.eprintf "parallel: %s diverges from Interp.run\n%!" e.Registry.reg_name)
+      if not ok then
+        Printf.eprintf "parallel: %s diverges from Interp.run\n%!"
+          e.Registry.reg_name;
+      if races <> [] then
+        Printf.eprintf "parallel: %s: %d race violation(s)\n%!"
+          e.Registry.reg_name (List.length races);
+      if (not ok) || races <> [] then failed := true)
     entries;
   Exp_util.print_table ~header (List.rev !rows);
   print_endline
     "  (speedup = trimmed-mean j=1 wall / trimmed-mean j=max wall; noisy,\n\
     \   never gates regress. On a 1-core host expect <= 1.0x.)";
-  match !out with
+  (match !out with
   | None -> ()
   | Some file ->
       let label =
@@ -545,7 +562,10 @@ let parallel_cmd args =
       in
       Bench_db.save file (Bench_db.make ~label snaps);
       Printf.printf "wrote %d parallel snapshots to %s\n" (List.length snaps)
-        file
+        file);
+  (* every reported speedup must be backed by a run that matches the
+     interpreter with no race *)
+  if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* tune: autotuner sweep across workloads                              *)
@@ -605,7 +625,7 @@ let tune_cmd args =
   in
   let entries =
     match !workloads with
-    | Some names -> List.map Registry.find names
+    | Some names -> entries_of names
     | None -> Registry.all
   in
   Exp_util.section

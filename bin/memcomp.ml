@@ -149,13 +149,8 @@ let resolve_jobs = Cli_util.resolve_jobs
 let exit_race = 3
 (* distinct exit code when the tile race checker fires *)
 
-let deps_of prog (v : Exp_util.version) =
-  match v.Exp_util.flavor with
-  | Exp_util.Ours c -> c.Core.Pipeline.deps
-  | Exp_util.Naive | Exp_util.Baseline _ -> Deps.compute prog
-
 let run_parallel_report prog (v : Exp_util.version) ~jobs ~race_check =
-  let deps = deps_of prog v in
+  let deps = Exp_util.deps_of prog v in
   let r = Runtime.run ~jobs ~race_check prog ~deps v.Exp_util.ast in
   let oracle = Cpu_model.run_to_memory prog v.Exp_util.ast in
   let ok =
@@ -164,12 +159,10 @@ let run_parallel_report prog (v : Exp_util.version) ~jobs ~race_check =
       prog.Prog.live_out
   in
   let m = r.Runtime.metrics in
-  Printf.printf "  parallel    %d tiles, %d edges, mode %s, %d jobs\n"
-    m.Executor.m_tiles r.Runtime.graph.Tile_graph.n_edges
-    (Executor.mode_name m.Executor.m_mode)
-    m.Executor.m_jobs;
-  Printf.printf "  parallel    %.3f ms wall, %d steals, %d barrier waits\n"
-    (1e3 *. r.Runtime.wall_s) m.Executor.m_steals m.Executor.m_barrier_waits;
+  Printf.printf "  parallel    %d tiles, %d edges, %d jobs\n"
+    m.Executor.m_tiles r.Runtime.graph.Tile_graph.n_edges m.Executor.m_jobs;
+  Printf.printf "  parallel    %.3f ms wall, %d steals\n"
+    (1e3 *. r.Runtime.wall_s) m.Executor.m_steals;
   Printf.printf "  semantics   %s vs sequential oracle\n"
     (if ok then "ok" else "MISMATCH");
   (match m.Executor.m_violations with

@@ -115,6 +115,11 @@ let tree_of (p : Prog.t) v =
   | Baseline (b, _) -> b.Core.Pipeline.b_tree
   | Ours c -> c.Core.Pipeline.tree
 
+let deps_of (p : Prog.t) v =
+  match v.flavor with
+  | Ours c -> c.Core.Pipeline.deps
+  | Naive | Baseline _ -> Deps.compute p
+
 let check_against (p : Prog.t) v1 v2 =
   let m1 = Cpu_model.run_to_memory p v1.ast in
   let m2 = Cpu_model.run_to_memory p v2.ast in

@@ -42,6 +42,11 @@ val tree_of : Prog.t -> version -> Schedule_tree.t
 (** The schedule tree the version's AST was generated from (recomputed
     for the naive flow, whose constructor discards it). *)
 
+val deps_of : Prog.t -> version -> Deps.t list
+(** The dependences the version was compiled against (recomputed for
+    the naive and baseline flows), as the tile-graph runtime needs
+    them. *)
+
 val check_against : Prog.t -> version -> version -> bool
 (** Semantic equivalence of live-out arrays (interpreter oracle). *)
 

@@ -14,11 +14,6 @@ type t = {
   ex_wall_s : float;
 }
 
-let deps_of prog (v : Exp_util.version) =
-  match v.Exp_util.flavor with
-  | Exp_util.Ours c -> c.Core.Pipeline.deps
-  | Exp_util.Naive | Exp_util.Baseline _ -> Deps.compute prog
-
 let collect ?(tile = 32) ?(jobs = 1) ~workload ~make prog =
   Obs.reset ();
   Events.reset ();
@@ -28,10 +23,11 @@ let collect ?(tile = 32) ?(jobs = 1) ~workload ~make prog =
      sequential interpreter *)
   let mem = Interp.alloc prog in
   Cpu_model.deterministic_fill ~seed:42 prog mem;
-  let prof = Memprof.create mem in
+  let prof = Memprof.create () in
   let (_ : Interp.stats) =
-    Interp.run ~observer:(Memprof.observer prof) prog v.Exp_util.ast mem
+    Interp.run ~hook:(Memprof.hook prof) prog v.Exp_util.ast mem
   in
+  Cache.publish (Memprof.cache prof);
   (* polyhedral attribution (undefined for the naive flow) *)
   let attribution, traffic =
     match v.Exp_util.flavor with
@@ -42,7 +38,7 @@ let collect ?(tile = 32) ?(jobs = 1) ~workload ~make prog =
           Some (Footprints.program_traffic prog cs) )
   in
   (* runtime timelines (also emits runtime.tile events) *)
-  let deps = deps_of prog v in
+  let deps = Exp_util.deps_of prog v in
   let r = Runtime.run ~jobs prog ~deps v.Exp_util.ast in
   { ex_workload = workload;
     ex_flow = v.Exp_util.ver_name;
@@ -187,10 +183,8 @@ let to_markdown t =
 
   pf "## Runtime\n\n";
   let m = t.ex_metrics in
-  pf "mode %s, %d jobs, %d tiles, %d steals, %d barrier waits, %.3f ms wall\n\n"
-    (Executor.mode_name m.Executor.m_mode)
-    m.Executor.m_jobs m.Executor.m_tiles m.Executor.m_steals
-    m.Executor.m_barrier_waits (1e3 *. t.ex_wall_s);
+  pf "%d jobs, %d tiles, %d steals, %.3f ms wall\n\n" m.Executor.m_jobs
+    m.Executor.m_tiles m.Executor.m_steals (1e3 *. t.ex_wall_s);
   md_table buf ~header:[ "worker"; "busy ms"; "tiles" ]
     (Array.to_list
        (Array.mapi
@@ -294,11 +288,9 @@ let to_json t =
           ]);
       ("runtime",
         Obj
-          [ ("mode", Str (Executor.mode_name m.Executor.m_mode));
-            ("jobs", num m.Executor.m_jobs);
+          [ ("jobs", num m.Executor.m_jobs);
             ("tiles", num m.Executor.m_tiles);
             ("steals", num m.Executor.m_steals);
-            ("barrier_waits", num m.Executor.m_barrier_waits);
             ("wall_s", Num t.ex_wall_s);
             ("busy_s",
               Arr (Array.to_list (Array.map (fun b -> Num b) m.Executor.m_busy_s)));

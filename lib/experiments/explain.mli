@@ -4,7 +4,7 @@
     {!collect} compiles a workload with the structured event log
     enabled (fusion accept/reject, tile-shape candidates, post-tiling
     rewrites), profiles the compiled AST through the sequential
-    interpreter with a {!Memprof} observer (reuse-distance histograms,
+    interpreter with the {!Memprof} hook (reuse-distance histograms,
     per-array / per-statement attribution), computes the polyhedral
     per-array traffic attribution, and executes the tile graph on the
     parallel runtime for per-tile timelines. The result renders as

@@ -19,8 +19,8 @@ type level = {
 type t = {
   levels : level list;
   dram_latency : int;
+  mutable accesses : int;
   mutable dram : int;
-  mutable cycles : int;
 }
 
 type level_stats = { level : string; hits : int; misses : int }
@@ -37,7 +37,7 @@ let mk_level config =
   }
 
 let create ~levels ~dram_latency =
-  { levels = List.map mk_level levels; dram_latency; dram = 0; cycles = 0 }
+  { levels = List.map mk_level levels; dram_latency; accesses = 0; dram = 0 }
 
 (* true on hit; on miss the line is installed (write-allocate) *)
 let probe level ~line =
@@ -53,12 +53,10 @@ let probe level ~line =
   match find 0 with
   | Some w ->
       level.hits <- level.hits + 1;
-      if Obs.is_enabled () then Obs.count ("cache." ^ level.config.name ^ ".hits");
       level.ages.(base + w) <- level.tick;
       true
   | None ->
       level.misses <- level.misses + 1;
-      if Obs.is_enabled () then Obs.count ("cache." ^ level.config.name ^ ".misses");
       (* evict LRU way *)
       let victim = ref 0 in
       for w = 1 to level.config.assoc - 1 do
@@ -70,21 +68,18 @@ let probe level ~line =
 
 let access t ~addr ~write =
   ignore write;
-  Obs.count "cache.accesses";
+  t.accesses <- t.accesses + 1;
   let rec go levels =
     match levels with
     | [] ->
         t.dram <- t.dram + 1;
-        Obs.count "cache.dram";
         t.dram_latency
     | level :: rest ->
         let line = addr / level.config.line_bytes in
         if probe level ~line then level.config.latency
         else level.config.latency + go rest
   in
-  let lat = go t.levels in
-  t.cycles <- t.cycles + lat;
-  lat
+  go t.levels
 
 let stats t =
   List.map
@@ -93,7 +88,15 @@ let stats t =
 
 let dram_accesses t = t.dram
 
-let total_cycles t = t.cycles
+let publish t =
+  let add name n = if n > 0 then Obs.add name n in
+  add "cache.accesses" t.accesses;
+  List.iter
+    (fun l ->
+      add ("cache." ^ l.config.name ^ ".hits") l.hits;
+      add ("cache." ^ l.config.name ^ ".misses") l.misses)
+    t.levels;
+  add "cache.dram" t.dram
 
 let reset t =
   List.iter
@@ -104,8 +107,8 @@ let reset t =
       l.hits <- 0;
       l.misses <- 0)
     t.levels;
-  t.dram <- 0;
-  t.cycles <- 0
+  t.accesses <- 0;
+  t.dram <- 0
 
 let xeon_like () =
   create

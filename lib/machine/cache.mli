@@ -1,4 +1,8 @@
-(** Multi-level set-associative LRU cache simulator (trace driven). *)
+(** Multi-level set-associative LRU cache simulator (trace driven).
+
+    Access, hit, miss and DRAM totals live in the simulator's own
+    record; the per-access path never touches [Obs]. {!publish} hands
+    them to [Obs] once, after a run. *)
 
 type level_config = {
   name : string;
@@ -22,7 +26,12 @@ val stats : t -> level_stats list
 
 val dram_accesses : t -> int
 
-val total_cycles : t -> int
+val publish : t -> unit
+(** Add the totals since creation (or the last {!reset}) to the Obs
+    counters [cache.accesses], [cache.<level>.hits],
+    [cache.<level>.misses] and [cache.dram]. Zero totals are skipped,
+    so a counter exists only once something incremented it. Call once
+    per run. *)
 
 val reset : t -> unit
 

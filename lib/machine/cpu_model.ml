@@ -82,14 +82,14 @@ let rec vectorizable = function
   | Ast.Kernel (_, t) | Ast.Point t -> vectorizable t
   | Ast.Call _ | Ast.Nop -> false
 
-let profile ?seed ?cache (p : Prog.t) ast =
+let profile ?seed (p : Prog.t) ast =
   let mem = Interp.alloc p in
   deterministic_fill ?seed p mem;
-  let cache = match cache with Some c -> c | None -> Cache.scaled_xeon () in
+  let cache = Cache.scaled_xeon () in
   let per_kernel_mem : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let per_kernel_dram : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let dram_latency = 200 in
-  let observer ~kernel ~stmt:_ ~addr ~write =
+  let hook ~kernel ~stmt:_ ~inst:_ ~array:_ ~cell:_ ~addr ~write =
     let lat = Cache.access cache ~addr ~write in
     let dram = if lat >= dram_latency then dram_latency else 0 in
     Hashtbl.replace per_kernel_mem kernel
@@ -98,7 +98,8 @@ let profile ?seed ?cache (p : Prog.t) ast =
       Hashtbl.replace per_kernel_dram kernel
         (dram + Option.value ~default:0 (Hashtbl.find_opt per_kernel_dram kernel))
   in
-  let stats = Interp.run ~observer p ast mem in
+  let stats = Interp.run ~hook p ast mem in
+  Cache.publish cache;
   let kernel_regions = Ast.kernels ast in
   let kernels =
     List.map

@@ -49,10 +49,11 @@ val deterministic_fill : ?seed:int -> Prog.t -> Interp.memory -> unit
     {!profile}, {!run_to_memory} and the parallel runtime, so their
     results are directly comparable. *)
 
-val profile : ?seed:int -> ?cache:Cache.t -> Prog.t -> Ast.t -> report
+val profile : ?seed:int -> Prog.t -> Ast.t -> report
 (** Allocates memory, fills every array with deterministic pseudo-random
-    data, executes the AST through the cache hierarchy (default: the
-    scaled Xeon model matching the reduced benchmark extents). *)
+    data, executes the AST through the cache hierarchy (the scaled Xeon
+    model matching the reduced benchmark extents), then publishes the
+    cache totals to [Obs] ({!Cache.publish}). *)
 
 val time_ms : ?vectorize:bool -> config -> report -> threads:int -> float
 (** [vectorize] overrides the per-kernel ivdep detection: [Some true]

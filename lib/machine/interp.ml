@@ -33,8 +33,6 @@ let store mem name =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Interp: unknown array %s" name)
 
-let base_of mem name = (store mem name).base
-
 let read_array mem name = (store mem name).data
 
 let fill mem name f =
@@ -60,13 +58,14 @@ type stats = {
   per_kernel_ops : (int, int) Hashtbl.t;
 }
 
-type tracer =
+type hook =
+  kernel:int ->
   stmt:string ->
   inst:int array ->
   array:string ->
   cell:int ->
+  addr:int ->
   write:bool ->
-  value:float ->
   unit
 
 let flat_index (s : array_store) ~array idxs =
@@ -89,18 +88,12 @@ let address_cells mem =
     (fun _ s acc -> max acc ((s.base / elem_bytes) + Array.length s.data))
     mem.arrays 0
 
-let array_spans mem =
-  Hashtbl.fold
-    (fun name s acc -> (name, s.base, Array.length s.data * elem_bytes) :: acc)
-    mem.arrays []
-  |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
-
 (* Core AST walker shared by [run] and [tile_runner]. Builds its own
    statement table and stats record, so each instantiation is
    self-contained: workers of the parallel runtime create one per
    domain and execute tile subtrees against the shared memory without
    touching any global (notably not Obs, which is not thread-safe). *)
-let executor ?observer ?tracer (p : Prog.t) mem =
+let executor ?hook (p : Prog.t) mem =
   let stats =
     { instances = 0;
       ops = 0;
@@ -114,14 +107,11 @@ let executor ?observer ?tracer (p : Prog.t) mem =
   let stmt_tbl = Hashtbl.create 8 in
   List.iter (fun (s : Prog.stmt) -> Hashtbl.replace stmt_tbl s.Prog.stmt_name s) p.Prog.stmts;
   let kernel = ref (-1) in
-  let notify ~stmt ~addr ~write =
-    match observer with
-    | Some f -> f ~kernel:!kernel ~stmt ~addr ~write
-    | None -> ()
-  in
-  let trace ~stmt ~inst ~array ~cell ~write ~value =
-    match tracer with
-    | Some f -> f ~stmt ~inst ~array ~cell ~write ~value
+  let notify ~stmt ~inst ~array s cell ~write =
+    match hook with
+    | Some f ->
+        f ~kernel:!kernel ~stmt ~inst ~array ~cell
+          ~addr:(s.base + (cell * elem_bytes)) ~write
     | None -> ()
   in
   let exec_call name args =
@@ -143,11 +133,8 @@ let executor ?observer ?tracer (p : Prog.t) mem =
         in
         let flat = flat_index s ~array:a.Prog.array idxs in
         stats.reads <- stats.reads + 1;
-        notify ~stmt:name ~addr:(s.base + (flat * elem_bytes)) ~write:false;
-        let v = s.data.(flat) in
-        trace ~stmt:name ~inst ~array:a.Prog.array ~cell:flat ~write:false
-          ~value:v;
-        v
+        notify ~stmt:name ~inst ~array:a.Prog.array s flat ~write:false;
+        s.data.(flat)
       in
       let values = Array.of_list (List.map read_value stmt.Prog.reads) in
       let result = stmt.Prog.compute values in
@@ -159,9 +146,7 @@ let executor ?observer ?tracer (p : Prog.t) mem =
       let wflat = flat_index ws ~array:wa.Prog.array widxs in
       stats.writes <- stats.writes + 1;
       ws.data.(wflat) <- result;
-      notify ~stmt:name ~addr:(ws.base + (wflat * elem_bytes)) ~write:true;
-      trace ~stmt:name ~inst ~array:wa.Prog.array ~cell:wflat ~write:true
-        ~value:result;
+      notify ~stmt:name ~inst ~array:wa.Prog.array ws wflat ~write:true;
       stats.ops <- stats.ops + stmt.Prog.ops;
       Hashtbl.replace stats.per_kernel_ops !kernel
         (stmt.Prog.ops
@@ -196,9 +181,9 @@ let executor ?observer ?tracer (p : Prog.t) mem =
   in
   (stats, go)
 
-let run ?observer ?tracer (p : Prog.t) ast mem =
+let run ?hook (p : Prog.t) ast mem =
   Obs.span "interp.run" @@ fun () ->
-  let stats, exec = executor ?observer ?tracer p mem in
+  let stats, exec = executor ?hook p mem in
   exec ~env:[] ast;
   Obs.add "interp.instances" stats.instances;
   Obs.add "interp.reads" stats.reads;
@@ -206,8 +191,7 @@ let run ?observer ?tracer (p : Prog.t) ast mem =
   Obs.add "interp.ops" stats.ops;
   stats
 
-let tile_runner ?observer ?tracer (p : Prog.t) mem =
-  executor ?observer ?tracer p mem
+let tile_runner ?hook (p : Prog.t) mem = executor ?hook p mem
 
 let arrays_equal ?(eps = 1e-6) m1 m2 name =
   let a = read_array m1 name and b = read_array m2 name in

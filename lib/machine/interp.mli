@@ -1,6 +1,8 @@
 (** Reference interpreter for generated loop ASTs: executes statement
-    semantics over concrete float arrays, with bounds checking and an
-    access observer for trace-driven machine models.
+    semantics over concrete float arrays, with bounds checking and one
+    access {!hook} shared by every trace consumer (the cache model, the
+    memory profiler, the shadow validator and the runtime's race
+    checker).
 
     Executing the same program under two different schedules and
     comparing the final arrays is the semantic-equivalence oracle used
@@ -9,9 +11,6 @@
 type memory
 
 val alloc : Prog.t -> memory
-
-val base_of : memory -> string -> int
-(** Byte base address of an array (for cache simulation). *)
 
 val elem_bytes : int
 
@@ -30,41 +29,34 @@ type stats = {
   per_kernel_ops : (int, int) Hashtbl.t;
 }
 
-type tracer =
+type hook =
+  kernel:int ->
   stmt:string ->
   inst:int array ->
   array:string ->
   cell:int ->
+  addr:int ->
   write:bool ->
-  value:float ->
   unit
-(** Semantic access hook: statement instance, array name, element-flat
-    cell index and the value read or written (writes fire after the
-    store). Unlike [observer] it identifies the *instance*, so the
-    shadow validator can tag cells with their last writer. The [inst]
-    array is fresh per call and safe to retain. *)
+(** Called on every array access: the enclosing kernel region (-1
+    outside any kernel), the statement instance ([stmt] and its
+    iteration vector [inst], fresh per instance and safe to retain),
+    the array, the element-flat [cell] index within it, and the byte
+    address [addr] in the simulated address space. Reads fire before
+    the statement computes; a write fires after its store, so a
+    consumer that needs the written value reads it from memory. *)
 
-val run :
-  ?observer:(kernel:int -> stmt:string -> addr:int -> write:bool -> unit) ->
-  ?tracer:tracer ->
-  Prog.t -> Ast.t -> memory -> stats
+val run : ?hook:hook -> Prog.t -> Ast.t -> memory -> stats
 (** Raises [Invalid_argument] on out-of-bounds accesses, naming the
-    array and index. Kernel id -1 denotes code outside any kernel
-    region; [stmt] is the stable statement name executing the access. *)
+    array and index. *)
 
 val address_cells : memory -> int
 (** Number of element-granular cells spanned by the allocated address
-    space; observer [addr / elem_bytes] always falls below this. Used
+    space; a hook's [addr / elem_bytes] always falls below this. Used
     to size the parallel runtime's per-cell race-checker tables. *)
 
-val array_spans : memory -> (string * int * int) list
-(** [(name, base_byte, bytes)] per allocated array, sorted by base
-    address; lets trace observers attribute a raw address back to the
-    array it falls in. *)
-
 val tile_runner :
-  ?observer:(kernel:int -> stmt:string -> addr:int -> write:bool -> unit) ->
-  ?tracer:tracer ->
+  ?hook:hook ->
   Prog.t ->
   memory ->
   stats * (?kernel:int -> env:(string * int) list -> Ast.t -> unit)

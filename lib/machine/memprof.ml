@@ -22,7 +22,6 @@ type mrow = {
 
 type t = {
   pcache : Cache.t;
-  spans : (string * int * int) array;  (* (name, base, bytes), sorted by base *)
   arrays : (string, mrow) Hashtbl.t;
   stmts : (string, mrow) Hashtbl.t;
   last : (int, int) Hashtbl.t;  (* line -> time of its current mark *)
@@ -33,9 +32,8 @@ type t = {
   per_array_hist : (string, int array) Hashtbl.t;
 }
 
-let create ?cache mem =
-  { pcache = (match cache with Some c -> c | None -> Cache.scaled_xeon ());
-    spans = Array.of_list (Interp.array_spans mem);
+let create () =
+  { pcache = Cache.scaled_xeon ();
     arrays = Hashtbl.create 16;
     stmts = Hashtbl.create 16;
     last = Hashtbl.create 4096;
@@ -45,20 +43,6 @@ let create ?cache mem =
     hist = Array.make n_buckets 0;
     per_array_hist = Hashtbl.create 16
   }
-
-let array_of t addr =
-  let n = Array.length t.spans in
-  let rec bsearch lo hi =
-    if lo > hi then None
-    else begin
-      let mid = (lo + hi) / 2 in
-      let name, base, bytes = t.spans.(mid) in
-      if addr < base then bsearch lo (mid - 1)
-      else if addr >= base + bytes then bsearch (mid + 1) hi
-      else Some name
-    end
-  in
-  bsearch 0 (n - 1)
 
 (* --- Fenwick tree ---------------------------------------------------- *)
 
@@ -107,7 +91,7 @@ let row_of tbl key =
       Hashtbl.add tbl key r;
       r
 
-let observer t ~kernel:_ ~stmt ~addr ~write =
+let hook t ~kernel:_ ~stmt ~inst:_ ~array ~cell:_ ~addr ~write =
   (* cache sampling: a DRAM access is visible as a [dram_accesses]
      increment, which keeps per-row DRAM sums exactly equal to the
      cache's own total *)
@@ -120,8 +104,7 @@ let observer t ~kernel:_ ~stmt ~addr ~write =
     r.m_dram <- r.m_dram + dram_hit
   in
   touch (row_of t.stmts stmt);
-  let aname = array_of t addr in
-  (match aname with Some a -> touch (row_of t.arrays a) | None -> ());
+  touch (row_of t.arrays array);
   (* reuse distance at line granularity *)
   let line = addr / line_bytes in
   let now = t.time + 1 in
@@ -132,18 +115,15 @@ let observer t ~kernel:_ ~stmt ~addr ~write =
       let d = bit_sum t t.time - bit_sum t prev in
       let b = bucket_of d in
       t.hist.(b) <- t.hist.(b) + 1;
-      (match aname with
-      | Some a ->
-          let h =
-            match Hashtbl.find_opt t.per_array_hist a with
-            | Some h -> h
-            | None ->
-                let h = Array.make n_buckets 0 in
-                Hashtbl.add t.per_array_hist a h;
-                h
-          in
-          h.(b) <- h.(b) + 1
-      | None -> ());
+      let h =
+        match Hashtbl.find_opt t.per_array_hist array with
+        | Some h -> h
+        | None ->
+            let h = Array.make n_buckets 0 in
+            Hashtbl.add t.per_array_hist array h;
+            h
+      in
+      h.(b) <- h.(b) + 1;
       bit_add t prev (-1)
   | None -> t.cold <- t.cold + 1);
   Hashtbl.replace t.last line now;

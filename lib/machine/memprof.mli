@@ -1,4 +1,4 @@
-(** Memory-hierarchy profiler: an {!Interp} access observer that builds
+(** Memory-hierarchy profiler: an {!Interp.hook} that builds
     reuse-distance histograms and per-array / per-statement traffic
     attribution from the interpreted access trace.
 
@@ -7,7 +7,7 @@
     the same line. Distances below a level's capacity in lines predict
     hits at that level; cold (first-touch) accesses are counted apart
     rather than folded into the largest bucket. DRAM attribution is
-    sampled through a private {!Cache} instance, so per-array DRAM
+    sampled through a private scaled-Xeon {!Cache}, so per-array DRAM
     counts sum exactly to the cache's total. *)
 
 type t
@@ -16,13 +16,11 @@ type t
     accesses that missed every cache level. *)
 type row = { accesses : int; reads : int; writes : int; dram : int }
 
-val create : ?cache:Cache.t -> Interp.memory -> t
-(** Profiler over the given memory layout. [cache] defaults to
-    [Cache.scaled_xeon ()]; pass an explicit one to model another
-    hierarchy. *)
+val create : unit -> t
 
-val observer : t -> kernel:int -> stmt:string -> addr:int -> write:bool -> unit
-(** Feed to [Interp.run ~observer]. Not thread-safe: profile through the
+val hook : t -> Interp.hook
+(** Feed to [Interp.run ~hook]. Accesses are attributed to the array
+    and statement the hook names. Not thread-safe: profile through the
     sequential interpreter, never from runtime workers. *)
 
 val per_array : t -> (string * row) list
@@ -32,7 +30,8 @@ val per_stmt : t -> (string * row) list
 (** Attribution rows keyed by statement name, sorted. *)
 
 val cache : t -> Cache.t
-(** The cache instance the profiler samples through. *)
+(** The cache instance the profiler samples through; {!Cache.publish}
+    it once the run is over. *)
 
 val total_accesses : t -> int
 

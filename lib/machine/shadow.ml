@@ -48,21 +48,36 @@ type cell_info = {
 
 let cell_key array cell = (array, cell)
 
-let observe_run ?check (p : Prog.t) ast =
+(* Interpret [ast] over a freshly filled memory, recording every
+   cell's writer instances and the cells read before any write. With
+   [check] (the reference run's cells and read-before-write cells) the
+   candidate's accesses are also checked as they happen. *)
+let trace_run ?check (p : Prog.t) ast =
   let mem = Interp.alloc p in
   Cpu_model.deterministic_fill p mem;
   let cells : (string * int, cell_info) Hashtbl.t = Hashtbl.create 1024 in
+  let read_undef : (string * int, unit) Hashtbl.t = Hashtbl.create 64 in
   let written : (string * (string * int array), float) Hashtbl.t =
     Hashtbl.create 1024
   in
-  (* order of first definition per cell, to know whether the reference
-     defined a cell before its own first read of it *)
-  let stats = { sh_violations = []; sh_reads = 0; sh_writes = 0; sh_recomputed = 0 } in
-  let stats = ref stats in
-  let tracer ~stmt ~inst ~array ~cell ~write ~value =
+  let reads = ref 0 and writes = ref 0 and recomputed = ref 0 in
+  let violations = ref [] in
+  let violation kind ~stmt ~inst ~array ~cell detail =
+    violations :=
+      { sv_kind = kind;
+        sv_stmt = stmt;
+        sv_inst = inst;
+        sv_array = array;
+        sv_cell = cell;
+        sv_detail = detail
+      }
+      :: !violations
+  in
+  let hook ~kernel:_ ~stmt ~inst ~array ~cell ~addr:_ ~write =
     let key = cell_key array cell in
     if write then begin
-      stats := { !stats with sh_writes = (!stats).sh_writes + 1 };
+      incr writes;
+      let value = (Interp.read_array mem array).(cell) in
       let info =
         match Hashtbl.find_opt cells key with
         | Some i -> i
@@ -75,21 +90,10 @@ let observe_run ?check (p : Prog.t) ast =
       let wkey = (array, (stmt, inst)) in
       (match Hashtbl.find_opt written wkey with
       | Some prev ->
-          stats := { !stats with sh_recomputed = (!stats).sh_recomputed + 1 };
+          incr recomputed;
           if Float.abs (prev -. value) > 1e-6 *. (1.0 +. Float.abs prev) then
-            stats :=
-              { !stats with
-                sh_violations =
-                  { sv_kind = "recompute-divergence";
-                    sv_stmt = stmt;
-                    sv_inst = inst;
-                    sv_array = array;
-                    sv_cell = cell;
-                    sv_detail =
-                      Printf.sprintf "stored %g then %g" prev value
-                  }
-                  :: (!stats).sh_violations
-              }
+            violation "recompute-divergence" ~stmt ~inst ~array ~cell
+              (Printf.sprintf "stored %g then %g" prev value)
       | None -> Hashtbl.replace written wkey value);
       if not (List.mem who info.writers) then
         info.writers <- who :: info.writers;
@@ -100,84 +104,41 @@ let observe_run ?check (p : Prog.t) ast =
           match Hashtbl.find_opt ref_cells key with
           | Some (ri : cell_info) when List.mem who ri.writers -> ()
           | _ ->
-              stats :=
-                { !stats with
-                  sh_violations =
-                    { sv_kind = "foreign-writer";
-                      sv_stmt = stmt;
-                      sv_inst = inst;
-                      sv_array = array;
-                      sv_cell = cell;
-                      sv_detail =
-                        "instance never wrote this cell in the reference \
-                         order"
-                    }
-                    :: (!stats).sh_violations
-                })
+              violation "foreign-writer" ~stmt ~inst ~array ~cell
+                "instance never wrote this cell in the reference order")
       | None -> ()
     end
     else begin
-      stats := { !stats with sh_reads = (!stats).sh_reads + 1 };
+      incr reads;
+      let defined = Hashtbl.mem cells key in
+      if not defined then Hashtbl.replace read_undef key ();
       match check with
       | Some (ref_cells, ref_read_undef) ->
           if
-            (not (Hashtbl.mem cells key))
+            (not defined)
             && Hashtbl.mem ref_cells key
             && not (Hashtbl.mem ref_read_undef key)
           then
-            stats :=
-              { !stats with
-                sh_violations =
-                  { sv_kind = "read-before-write";
-                    sv_stmt = stmt;
-                    sv_inst = inst;
-                    sv_array = array;
-                    sv_cell = cell;
-                    sv_detail =
-                      "reference defines this cell before any read"
-                  }
-                  :: (!stats).sh_violations
-              }
+            violation "read-before-write" ~stmt ~inst ~array ~cell
+              "reference defines this cell before any read"
       | None -> ()
     end
   in
-  ignore (Interp.run ~tracer p ast mem);
-  (mem, cells, !stats)
-
-(* Reference pass additionally records cells read before definition. *)
-let reference_run (p : Prog.t) ast =
-  let mem = Interp.alloc p in
-  Cpu_model.deterministic_fill p mem;
-  let cells : (string * int, cell_info) Hashtbl.t = Hashtbl.create 1024 in
-  let read_undef : (string * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let tracer ~stmt ~inst ~array ~cell ~write ~value =
-    ignore value;
-    let key = cell_key array cell in
-    if write then begin
-      let info =
-        match Hashtbl.find_opt cells key with
-        | Some i -> i
-        | None ->
-            let i = { writers = []; last = None } in
-            Hashtbl.replace cells key i;
-            i
-      in
-      let who = (stmt, inst) in
-      if not (List.mem who info.writers) then
-        info.writers <- who :: info.writers;
-      info.last <- Some who
-    end
-    else if not (Hashtbl.mem cells key) then
-      Hashtbl.replace read_undef key ()
-  in
-  ignore (Interp.run ~tracer p ast mem);
-  (mem, cells, read_undef)
+  ignore (Interp.run ~hook p ast mem);
+  ( mem,
+    cells,
+    read_undef,
+    { sh_violations = List.rev !violations;
+      sh_reads = !reads;
+      sh_writes = !writes;
+      sh_recomputed = !recomputed
+    } )
 
 let validate (p : Prog.t) ~ref_ast ~ast =
   Obs.span "verify.shadow" @@ fun () ->
-  let ref_mem, ref_cells, ref_read_undef = reference_run p ref_ast in
-  let cand_mem, cand_cells, stats =
-    observe_run ~check:(ref_cells, ref_read_undef) p ast
+  let ref_mem, ref_cells, ref_read_undef, _ = trace_run p ref_ast in
+  let cand_mem, cand_cells, _, stats =
+    trace_run ~check:(ref_cells, ref_read_undef) p ast
   in
   (* live-out coverage and final-writer agreement *)
   let liveout_violations =
@@ -236,5 +197,5 @@ let validate (p : Prog.t) ~ref_ast ~ast =
   in
   { stats with
     sh_violations =
-      List.rev stats.sh_violations @ liveout_violations @ value_violation
+      stats.sh_violations @ liveout_violations @ value_violation
   }

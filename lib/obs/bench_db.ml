@@ -155,7 +155,10 @@ let classify_counter ~base ~cand =
 
 (* Metrics that are inherently nondeterministic across runs -- work-
    stealing counts, per-worker busy time, measured wall-clock speedup.
-   They are recorded for inspection but never gate. *)
+   They are recorded for inspection but never gate. The runtime no
+   longer records barrier waits; the name stays because older
+   snapshots (the committed baseline among them) still carry it, and
+   [regress] looks a metric's kind up by name. *)
 let noisy_counters =
   [ "runtime.steals"; "runtime.barrier_waits"; "runtime.busy_us" ]
 

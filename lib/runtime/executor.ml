@@ -1,27 +1,17 @@
 (* Worker-pool executor over a tile graph.
 
-   Three modes:
-   - [Seq]: deterministic sequential execution in item-id order on the
-     calling domain (the reference against which speedups are
-     measured, and the fallback for [jobs = 1]);
-   - [Wavefront]: conservative barrier execution -- items are grouped
-     into longest-path levels and each level runs as a parallel-for
-     with a full barrier between levels;
-   - [Dag]: dependence-aware work stealing -- each domain owns a deque
-     of ready items, executes from its own bottom and steals from
-     other deques' tops, decrementing atomic predecessor counters to
-     release successors.
+   One worker runs the items in id order on the calling domain (the
+   reference against which speedups are measured). Several workers
+   run dependence-aware work stealing: each domain owns a deque of
+   ready items, executes from its own bottom and steals from other
+   deques' tops, decrementing atomic predecessor counters to release
+   successors. Item ids are a topological order and opaque items keep
+   their edges to every other item, so neither path needs a fallback.
 
    The executor keeps [Obs] off its hot paths: although Obs is now
    mutex-guarded (domain-safe), taking a global lock per tile would
    serialise the workers, so every metric is accumulated in per-worker
    slots and merged after the domains are joined. *)
-
-type mode = Seq | Wavefront | Dag
-
-let mode_name = function Seq -> "seq" | Wavefront -> "wavefront" | Dag -> "dag"
-
-type config = { jobs : int; mode : mode; race_check : bool }
 
 type violation = { v_tile : int; v_writer : int; v_cell : int }
 
@@ -33,11 +23,9 @@ type timeline_entry = {
 }
 
 type metrics = {
-  m_mode : mode;
   m_jobs : int;
   m_tiles : int;
   m_steals : int;
-  m_barrier_waits : int;
   m_busy_s : float array;  (** per-worker busy wall time, seconds *)
   m_instances : int;  (** executed statement instances, summed *)
   m_violations : violation list;
@@ -125,9 +113,14 @@ let make_race n_tiles mem =
     completed = Array.init (max 1 n_tiles) (fun _ -> Atomic.make false)
   }
 
-let race_observer race cur record ~kernel:_ ~stmt:_ ~addr ~write =
+let race_hook race cur violations ~kernel:_ ~stmt:_ ~inst:_ ~array:_ ~cell:_
+    ~addr ~write =
   let cell = addr / Interp.elem_bytes in
   let me = !cur in
+  let record v =
+    if List.length !violations < max_recorded_violations then
+      violations := v :: !violations
+  in
   if write then begin
     (* write-side: a cell already read by an id-later tile means that
        reader should have seen this value -- its RAW dependence was
@@ -135,7 +128,7 @@ let race_observer race cur record ~kernel:_ ~stmt:_ ~addr ~write =
        edge ordering the writer first, so this never fires on a valid
        topological order. *)
     let r = race.reader.(cell) in
-    if r > me && r <> me then record { v_tile = r; v_writer = me; v_cell = cell };
+    if r > me then record { v_tile = r; v_writer = me; v_cell = cell };
     race.writer.(cell) <- me
   end
   else begin
@@ -147,20 +140,55 @@ let race_observer race cur record ~kernel:_ ~stmt:_ ~addr ~write =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Per-worker state: a private interpreter over the shared memory and
+   the metric slots only this worker writes. *)
+type worker = {
+  wid : int;
+  exec : ?kernel:int -> env:(string * int) list -> Ast.t -> unit;
+  stats : Interp.stats;
+  cur : int ref;  (** the tile being executed *)
+  violations : violation list ref;  (** newest first *)
+  mutable busy : float;
+  mutable tiles : int;
+  mutable steals : int;
+  mutable timeline : timeline_entry list;  (** newest first *)
+}
 
-let finish_metrics ~mode ~jobs ~steals ~barrier_waits ~busy ~tiles ~insts
-    ~violations ~timelines =
-  { m_mode = mode;
-    m_jobs = jobs;
-    m_tiles = Array.fold_left ( + ) 0 tiles;
-    m_steals = Array.fold_left ( + ) 0 steals;
-    m_barrier_waits = barrier_waits;
-    m_busy_s = busy;
-    m_instances = Array.fold_left ( + ) 0 insts;
-    m_violations = List.concat (Array.to_list violations);
+let make_worker ~race (p : Prog.t) mem wid =
+  let cur = ref (-1) and violations = ref [] in
+  let hook = Option.map (fun r -> race_hook r cur violations) race in
+  let stats, exec = Interp.tile_runner ?hook p mem in
+  { wid; exec; stats; cur; violations; busy = 0.0; tiles = 0; steals = 0;
+    timeline = [] }
+
+(* Execute one item on worker [w]: tile timing, timeline entry, busy
+   time and the race checker's completion flag. *)
+let exec_item ~(g : Tile_graph.t) ~race ~run0 w i =
+  let it = g.Tile_graph.items.(i) in
+  let t0 = Unix.gettimeofday () in
+  w.cur := i;
+  w.exec ~kernel:it.Tile_graph.kernel ~env:it.Tile_graph.env it.Tile_graph.body;
+  Option.iter (fun r -> Atomic.set r.completed.(i) true) race;
+  let dur = Unix.gettimeofday () -. t0 in
+  w.busy <- w.busy +. dur;
+  w.tiles <- w.tiles + 1;
+  w.timeline <-
+    { tl_tile = i; tl_worker = w.wid; tl_start_s = t0 -. run0; tl_dur_s = dur }
+    :: w.timeline
+
+let metrics_of workers =
+  let sum f = Array.fold_left (fun acc w -> acc + f w) 0 workers in
+  let concat f = List.concat_map (fun w -> List.rev (f w)) (Array.to_list workers) in
+  { m_jobs = Array.length workers;
+    m_tiles = sum (fun w -> w.tiles);
+    m_steals = sum (fun w -> w.steals);
+    m_busy_s = Array.map (fun w -> w.busy) workers;
+    m_instances = sum (fun w -> w.stats.Interp.instances);
+    m_violations = concat (fun w -> !(w.violations));
     m_timeline =
-      List.concat (Array.to_list (Array.map List.rev timelines))
-      |> List.sort (fun a b -> compare a.tl_start_s b.tl_start_s)
+      List.stable_sort
+        (fun a b -> compare a.tl_start_s b.tl_start_s)
+        (concat (fun w -> w.timeline))
   }
 
 let run_sequential ?order ?(race_check = false) (p : Prog.t)
@@ -168,41 +196,12 @@ let run_sequential ?order ?(race_check = false) (p : Prog.t)
   let n = Tile_graph.n_items g in
   let order = match order with Some o -> o | None -> Array.init n Fun.id in
   let race = if race_check then Some (make_race n mem) else None in
-  let viols = ref [] in
-  let cur = ref (-1) in
-  let observer =
-    Option.map
-      (fun r ->
-        race_observer r cur (fun v ->
-            if List.length !viols < max_recorded_violations then
-              viols := v :: !viols))
-      race
-  in
-  let stats, exec = Interp.tile_runner ?observer p mem in
-  let busy = Array.make 1 0.0 in
-  let timeline = ref [] in
+  let w = make_worker ~race p mem 0 in
   let run0 = Unix.gettimeofday () in
-  Array.iter
-    (fun i ->
-      let it = g.Tile_graph.items.(i) in
-      let t0 = Unix.gettimeofday () in
-      cur := i;
-      exec ~kernel:it.Tile_graph.kernel ~env:it.Tile_graph.env
-        it.Tile_graph.body;
-      (match race with
-      | Some r -> Atomic.set r.completed.(i) true
-      | None -> ());
-      let dur = Unix.gettimeofday () -. t0 in
-      busy.(0) <- busy.(0) +. dur;
-      timeline :=
-        { tl_tile = i; tl_worker = 0; tl_start_s = t0 -. run0; tl_dur_s = dur }
-        :: !timeline)
-    order;
-  finish_metrics ~mode:Seq ~jobs:1 ~steals:[| 0 |] ~barrier_waits:0 ~busy
-    ~tiles:[| n |] ~insts:[| stats.Interp.instances |]
-    ~violations:[| List.rev !viols |] ~timelines:[| !timeline |]
+  Array.iter (exec_item ~g ~race ~run0 w) order;
+  metrics_of [| w |]
 
-let run_dag ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
+let run_stealing ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
   let n = Tile_graph.n_items g in
   let preds = Array.map Atomic.make g.Tile_graph.preds in
   let pending = Atomic.make n in
@@ -215,35 +214,20 @@ let run_dag ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
         incr seeded
       end)
     g.Tile_graph.preds;
-  let steals = Array.make jobs 0 in
-  let busy = Array.make jobs 0.0 in
-  let tiles = Array.make jobs 0 in
-  let insts = Array.make jobs 0 in
-  let violations = Array.make jobs [] in
-  let timelines = Array.make jobs [] in
   let race = if race_check then Some (make_race n mem) else None in
+  let workers = Array.init jobs (make_worker ~race p mem) in
   let run0 = Unix.gettimeofday () in
-  let worker wid () =
-    let cur = ref (-1) in
-    let observer =
-      Option.map
-        (fun r ->
-          race_observer r cur (fun v ->
-              if List.length violations.(wid) < max_recorded_violations then
-                violations.(wid) <- v :: violations.(wid)))
-        race
-    in
-    let stats, exec = Interp.tile_runner ?observer p mem in
+  let work w () =
     let find () =
-      match Deque.pop deques.(wid) with
+      match Deque.pop deques.(w.wid) with
       | Some i -> Some i
       | None ->
           let rec try_steal k =
             if k >= jobs then None
             else
-              match Deque.steal deques.((wid + k) mod jobs) with
+              match Deque.steal deques.((w.wid + k) mod jobs) with
               | Some i ->
-                  steals.(wid) <- steals.(wid) + 1;
+                  w.steals <- w.steals + 1;
                   Some i
               | None -> try_steal (k + 1)
           in
@@ -254,24 +238,11 @@ let run_dag ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
       match find () with
       | Some i ->
           idle := 0;
-          let it = g.Tile_graph.items.(i) in
-          let t0 = Unix.gettimeofday () in
-          cur := i;
-          exec ~kernel:it.Tile_graph.kernel ~env:it.Tile_graph.env
-            it.Tile_graph.body;
-          (match race with
-          | Some r -> Atomic.set r.completed.(i) true
-          | None -> ());
-          let dur = Unix.gettimeofday () -. t0 in
-          busy.(wid) <- busy.(wid) +. dur;
-          timelines.(wid) <-
-            { tl_tile = i; tl_worker = wid; tl_start_s = t0 -. run0; tl_dur_s = dur }
-            :: timelines.(wid);
-          tiles.(wid) <- tiles.(wid) + 1;
+          exec_item ~g ~race ~run0 w i;
           List.iter
             (fun j ->
               if Atomic.fetch_and_add preds.(j) (-1) = 1 then
-                Deque.push deques.(wid) j)
+                Deque.push deques.(w.wid) j)
             g.Tile_graph.succs.(i);
           ignore (Atomic.fetch_and_add pending (-1));
           loop ()
@@ -286,85 +257,15 @@ let run_dag ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
             loop ()
           end
     in
-    loop ();
-    insts.(wid) <- stats.Interp.instances;
-    violations.(wid) <- List.rev violations.(wid)
+    loop ()
   in
-  let doms = Array.init (jobs - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-  worker 0 ();
+  let doms =
+    Array.init (jobs - 1) (fun k -> Domain.spawn (work workers.(k + 1)))
+  in
+  work workers.(0) ();
   Array.iter Domain.join doms;
-  finish_metrics ~mode:Dag ~jobs ~steals ~barrier_waits:0 ~busy ~tiles ~insts
-    ~violations ~timelines
+  metrics_of workers
 
-let run_wavefront ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
-  let n = Tile_graph.n_items g in
-  let level = Tile_graph.levels g in
-  let n_levels = 1 + Array.fold_left max (-1) level in
-  let buckets = Array.make (max 1 n_levels) [] in
-  for i = n - 1 downto 0 do
-    buckets.(level.(i)) <- i :: buckets.(level.(i))
-  done;
-  let steals = Array.make jobs 0 in
-  let busy = Array.make jobs 0.0 in
-  let tiles = Array.make jobs 0 in
-  let insts = Array.make jobs 0 in
-  let violations = Array.make jobs [] in
-  let timelines = Array.make jobs [] in
-  let race = if race_check then Some (make_race n mem) else None in
-  let run0 = Unix.gettimeofday () in
-  let run_level items =
-    let items = Array.of_list items in
-    let next = Atomic.make 0 in
-    let worker wid () =
-      let cur = ref (-1) in
-      let observer =
-        Option.map
-          (fun r ->
-            race_observer r cur (fun v ->
-                if List.length violations.(wid) < max_recorded_violations then
-                  violations.(wid) <- v :: violations.(wid)))
-          race
-      in
-      let stats, exec = Interp.tile_runner ?observer p mem in
-      let rec loop () =
-        let k = Atomic.fetch_and_add next 1 in
-        if k < Array.length items then begin
-          let i = items.(k) in
-          let it = g.Tile_graph.items.(i) in
-          let t0 = Unix.gettimeofday () in
-          cur := i;
-          exec ~kernel:it.Tile_graph.kernel ~env:it.Tile_graph.env
-            it.Tile_graph.body;
-          (match race with
-          | Some r -> Atomic.set r.completed.(i) true
-          | None -> ());
-          let dur = Unix.gettimeofday () -. t0 in
-          busy.(wid) <- busy.(wid) +. dur;
-          timelines.(wid) <-
-            { tl_tile = i; tl_worker = wid; tl_start_s = t0 -. run0; tl_dur_s = dur }
-            :: timelines.(wid);
-          tiles.(wid) <- tiles.(wid) + 1;
-          loop ()
-        end
-      in
-      loop ();
-      insts.(wid) <- insts.(wid) + stats.Interp.instances
-    in
-    let w = min jobs (max 1 (Array.length items)) in
-    let doms = Array.init (w - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-    worker 0 ();
-    Array.iter Domain.join doms
-  in
-  Array.iter (fun b -> if b <> [] then run_level b) buckets;
-  let violations = Array.map List.rev violations in
-  (* every worker waits at the barrier closing each level *)
-  finish_metrics ~mode:Wavefront ~jobs ~steals
-    ~barrier_waits:(n_levels * jobs) ~busy ~tiles ~insts ~violations
-    ~timelines
-
-let run (cfg : config) (p : Prog.t) (g : Tile_graph.t) mem =
-  let jobs = max 1 cfg.jobs in
-  match cfg.mode with
-  | Seq -> run_sequential ~race_check:cfg.race_check p g mem
-  | Wavefront -> run_wavefront ~jobs ~race_check:cfg.race_check p g mem
-  | Dag -> run_dag ~jobs ~race_check:cfg.race_check p g mem
+let run ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
+  if jobs <= 1 then run_sequential ~race_check p g mem
+  else run_stealing ~jobs ~race_check p g mem

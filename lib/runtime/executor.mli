@@ -5,19 +5,6 @@
     accumulated in per-worker slots and merged after the domains are
     joined; the caller is responsible for reporting them. *)
 
-type mode =
-  | Seq  (** sequential in item-id order on the calling domain *)
-  | Wavefront
-      (** conservative barrier mode: longest-path levels, each level a
-          parallel-for with a full barrier after it *)
-  | Dag
-      (** dependence-aware work stealing over per-worker deques with
-          atomic predecessor counters *)
-
-val mode_name : mode -> string
-
-type config = { jobs : int; mode : mode; race_check : bool }
-
 type violation = {
   v_tile : int;  (** the reading tile *)
   v_writer : int;  (** the incomplete producer tile *)
@@ -32,11 +19,9 @@ type timeline_entry = {
 }
 
 type metrics = {
-  m_mode : mode;
   m_jobs : int;
   m_tiles : int;
   m_steals : int;
-  m_barrier_waits : int;
   m_busy_s : float array;  (** per-worker busy wall time, seconds *)
   m_instances : int;  (** executed statement instances, summed *)
   m_violations : violation list;
@@ -44,10 +29,19 @@ type metrics = {
       (** per-tile execution intervals, sorted by start time; collected
           in per-worker slots (never through [Obs]) and merged after the
           join. Worker busy time is exactly these durations summed per
-          worker, in every mode. *)
+          worker. *)
 }
 
-val run : config -> Prog.t -> Tile_graph.t -> Interp.memory -> metrics
+val run :
+  jobs:int -> race_check:bool ->
+  Prog.t -> Tile_graph.t -> Interp.memory -> metrics
+(** One worker ([jobs <= 1]) is {!run_sequential} in item-id order.
+    Several workers run dependence-aware work stealing: one domain per
+    worker, each popping ready items from its own deque and stealing
+    from the others', with atomic predecessor counters releasing
+    successors. Item ids are a topological order and opaque items are
+    ordered against every other item, so no schedule needs a
+    fallback. *)
 
 val run_sequential :
   ?order:int array ->

@@ -10,10 +10,7 @@ type result = {
   wall_s : float;
 }
 
-let default_mode (g : Tile_graph.t) =
-  if g.Tile_graph.has_opaque then Executor.Wavefront else Executor.Dag
-
-let run ?(jobs = 1) ?mode ?(race_check = false) ?max_tiles ?split_depth
+let run ?(jobs = 1) ?(race_check = false) ?max_tiles ?split_depth
     ?(seed = 42) (p : Prog.t) ~deps ast =
   Obs.span "runtime.run" @@ fun () ->
   let jobs = max 1 jobs in
@@ -23,17 +20,15 @@ let run ?(jobs = 1) ?mode ?(race_check = false) ?max_tiles ?split_depth
     Obs.span "runtime.extract" (fun () ->
         Tile_graph.extract ?max_tiles ?split_depth p ~deps ast)
   in
-  let mode = match mode with Some m -> m | None -> default_mode graph in
   let t0 = Unix.gettimeofday () in
   let metrics =
     Obs.span "runtime.execute" (fun () ->
-        Executor.run { Executor.jobs; mode; race_check } p graph mem)
+        Executor.run ~jobs ~race_check p graph mem)
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   Obs.add "runtime.tiles" metrics.Executor.m_tiles;
   Obs.add "runtime.edges" graph.Tile_graph.n_edges;
   Obs.add "runtime.steals" metrics.Executor.m_steals;
-  Obs.add "runtime.barrier_waits" metrics.Executor.m_barrier_waits;
   Obs.add "runtime.race_violations" (List.length metrics.Executor.m_violations);
   Obs.add "runtime.workers" jobs;
   Obs.add "runtime.busy_us"

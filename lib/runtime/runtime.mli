@@ -16,18 +16,15 @@ type result = {
   wall_s : float;  (** execution wall time (excluding extraction) *)
 }
 
-val default_mode : Tile_graph.t -> Executor.mode
-(** [Dag] unless the graph has opaque items, then [Wavefront]. *)
-
 val run :
   ?jobs:int ->
-  ?mode:Executor.mode ->
   ?race_check:bool ->
   ?max_tiles:int ->
   ?split_depth:int ->
   ?seed:int ->
   Prog.t -> deps:Deps.t list -> Ast.t -> result
 (** Allocate memory, fill deterministically (same [seed] default as
-    the machine models), extract the tile graph, execute, and emit
+    the machine models), extract the tile graph, execute it with
+    {!Executor.run} on [jobs] workers (default 1), and emit
     [runtime.*] observability counters (from the calling thread only;
     the executor itself never touches [Obs]). *)

@@ -17,8 +17,7 @@
    Items whose accesses cannot be bounded (an index depending on a
    variable we could not resolve) are marked opaque and ordered
    conservatively against every other item, which degrades the graph
-   towards a sequence and makes the executor fall back to
-   wavefront/barrier execution. *)
+   towards a sequence. *)
 
 type itv = int * int
 
@@ -78,7 +77,6 @@ type t = {
   succs : int list array;
   preds : int array;  (** predecessor counts, aligned with [items] *)
   n_edges : int;
-  has_opaque : bool;
 }
 
 let n_items g = Array.length g.items
@@ -267,12 +265,7 @@ let extract ?(max_tiles = 1024) ?(split_depth = 2) (p : Prog.t)
     done;
     succs.(i) <- List.rev succs.(i)
   done;
-  { items;
-    succs;
-    preds;
-    n_edges = !n_edges;
-    has_opaque = Array.exists (fun it -> it.opaque) items
-  }
+  { items; succs; preds; n_edges = !n_edges }
 
 (* Wavefront levels: longest path from a root. Edges always go from a
    lower id to a higher one, so a single ascending scan settles every

@@ -35,7 +35,6 @@ type t = {
   succs : int list array;
   preds : int array;  (** predecessor counts, aligned with [items] *)
   n_edges : int;
-  has_opaque : bool;
 }
 
 val n_items : t -> int

@@ -79,17 +79,12 @@ let version_of ~target p (c : Search_space.candidate) =
         ~fuse_reductions:c.Search_space.cd_fuse_reductions ~target
         Fusion.Maxfuse p
 
-let deps_of p (v : Exp_util.version) =
-  match v.Exp_util.flavor with
-  | Exp_util.Ours c -> c.Core.Pipeline.deps
-  | Exp_util.Naive | Exp_util.Baseline _ -> Deps.compute p
-
 let score_version p (v : Exp_util.version) =
   let clusters = Exp_util.clusters p v in
   let traffic = Footprints.program_traffic p clusters in
   let staged = Footprints.max_staged_bytes p clusters in
   let graph =
-    Tile_graph.extract ~max_tiles:tile_graph_cap p ~deps:(deps_of p v)
+    Tile_graph.extract ~max_tiles:tile_graph_cap p ~deps:(Exp_util.deps_of p v)
       v.Exp_util.ast
   in
   let tiles = Tile_graph.n_items graph in

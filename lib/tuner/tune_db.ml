@@ -66,14 +66,14 @@ let prog_canonical (p : Prog.t) =
   Buffer.add_string b (";liveout " ^ String.concat "," p.Prog.live_out);
   Buffer.contents b
 
-let prog_digest p = Stdlib.Digest.to_hex (Stdlib.Digest.string (prog_canonical p))
+let prog_digest p = Digest.to_hex (Digest.string (prog_canonical p))
 
 let key ~target p sp =
   let raw =
     Printf.sprintf "%s|%s|%s" (prog_digest p) (Search_space.signature sp)
       target
   in
-  Stdlib.Digest.to_hex (Stdlib.Digest.string raw)
+  Digest.to_hex (Digest.string raw)
 
 (* ------------------------------------------------------------------ *)
 (* Entries                                                             *)

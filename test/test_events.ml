@@ -265,9 +265,9 @@ let test_memprof_sums_exactly () =
   let v = Exp_util.ours ~tile:8 ~target:Core.Pipeline.Cpu p in
   let mem = Interp.alloc p in
   Cpu_model.deterministic_fill ~seed:42 p mem;
-  let prof = Memprof.create mem in
+  let prof = Memprof.create () in
   let (_ : Interp.stats) =
-    Interp.run ~observer:(Memprof.observer prof) p v.Exp_util.ast mem
+    Interp.run ~hook:(Memprof.hook prof) p v.Exp_util.ast mem
   in
   let sum_dram rows = List.fold_left (fun a (_, r) -> a + r.Memprof.dram) 0 rows in
   let sum_acc rows =

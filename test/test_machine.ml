@@ -77,6 +77,43 @@ let test_cache_conservation () =
     (Cache.stats c);
   check int "DRAM sees the last level's misses" !expected (Cache.dram_accesses c)
 
+(* Cache totals reach Obs once per run, through Cache.publish: with Obs
+   on, one profile leaves counters equal to the report's totals and to
+   the interpreter's access count, and no zero-valued name; with Obs
+   off it leaves no cache counter at all. *)
+let test_cache_publish () =
+  let p = (Registry.find "conv2d").Registry.small () in
+  let ast = (Exp_util.ours ~target:Core.Pipeline.Cpu p).Exp_util.ast in
+  let cache_counters () =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"cache." name)
+      (Obs.counters_alist ())
+  in
+  Obs.reset ();
+  Obs.enable ();
+  let r = Cpu_model.profile p ast in
+  Obs.disable ();
+  check int "cache.accesses = interp.reads + interp.writes"
+    (Obs.counter_value "interp.reads" + Obs.counter_value "interp.writes")
+    (Obs.counter_value "cache.accesses");
+  List.iter
+    (fun (l : Cache.level_stats) ->
+      let counter metric =
+        Obs.counter_value (Printf.sprintf "cache.%s.%s" l.Cache.level metric)
+      in
+      check int (l.Cache.level ^ " hits") l.Cache.hits (counter "hits");
+      check int (l.Cache.level ^ " misses") l.Cache.misses (counter "misses"))
+    r.Cpu_model.cache;
+  check int "cache.dram" r.Cpu_model.dram (Obs.counter_value "cache.dram");
+  check bool "cache counters recorded" true (cache_counters () <> []);
+  List.iter
+    (fun (name, v) -> check bool (name ^ " is non-zero") true (v > 0))
+    (cache_counters ());
+  Obs.reset ();
+  ignore (Cpu_model.profile p ast);
+  check int "no cache counter with Obs off" 0 (List.length (cache_counters ()));
+  Obs.enable ()
+
 let test_cache_miss_monotone () =
   (* Shrinking an LRU cache by dropping ways (fixed set count) can only
      lose residency — the stack/inclusion property — so misses on the
@@ -245,7 +282,8 @@ let () =
           Alcotest.test_case "LRU" `Quick test_cache_lru;
           Alcotest.test_case "reset" `Quick test_cache_reset;
           Alcotest.test_case "conservation" `Quick test_cache_conservation;
-          Alcotest.test_case "miss monotonicity" `Quick test_cache_miss_monotone
+          Alcotest.test_case "miss monotonicity" `Quick test_cache_miss_monotone;
+          Alcotest.test_case "publish once per run" `Quick test_cache_publish
         ] );
       ( "interp",
         [ Alcotest.test_case "bounds checking" `Quick test_interp_bounds;

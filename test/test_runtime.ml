@@ -1,14 +1,15 @@
 (* Parallel tile-graph runtime tests: the sequential interpreter
    ([Interp.run] via [Cpu_model.run_to_memory], same deterministic
-   fill) is the oracle for every executor mode -- a correct tile graph
-   makes the parallel result bit-identical because every conflicting
-   tile pair stays ordered by a sequence-order edge.
+   fill) is the oracle for the executor at one worker and at several
+   -- a correct tile graph makes the parallel result bit-identical
+   because every conflicting tile pair stays ordered by a
+   sequence-order edge.
 
-   Covers: differential parallel-vs-sequential over registry workloads
+   Covers: differential runtime-vs-interpreter over registry workloads
    and fuzz seeds, tile-graph extraction invariants and exact edge
-   counts on conv2d/jacobi, the conservative wavefront fallback, and
-   the race checker itself (which must fire on a deliberately reversed
-   execution order and stay silent on a valid one). *)
+   counts on conv2d/jacobi, and the race checker itself (which must
+   fire on a deliberately reversed execution order and stay silent on
+   a valid one). *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -16,20 +17,15 @@ let int = Alcotest.int
 
 let compile ?(tile = 8) p = Exp_util.ours ~tile ~target:Core.Pipeline.Cpu p
 
-let deps_of p (v : Exp_util.version) =
-  match v.Exp_util.flavor with
-  | Exp_util.Ours c -> c.Core.Pipeline.deps
-  | Exp_util.Naive | Exp_util.Baseline _ -> Deps.compute p
-
 let live_out_equal p m1 m2 =
   List.for_all (fun a -> Interp.arrays_equal m1 m2 a) p.Prog.live_out
 
-(* Run one workload through the runtime in [mode] with [jobs] workers
+(* Run one workload through the runtime with [jobs] workers
    (race-checked) and compare its live-out arrays against the
    sequential interpreter. *)
-let differential ?mode ~jobs p (v : Exp_util.version) =
-  let deps = deps_of p v in
-  let r = Runtime.run ~jobs ?mode ~race_check:true p ~deps v.Exp_util.ast in
+let differential ~jobs p (v : Exp_util.version) =
+  let deps = Exp_util.deps_of p v in
+  let r = Runtime.run ~jobs ~race_check:true p ~deps v.Exp_util.ast in
   let oracle = Cpu_model.run_to_memory p v.Exp_util.ast in
   check bool
     (Printf.sprintf "%s: no race violations" p.Prog.prog_name)
@@ -41,7 +37,7 @@ let differential ?mode ~jobs p (v : Exp_util.version) =
     (live_out_equal p r.Runtime.mem oracle)
 
 (* ------------------------------------------------------------------ *)
-(* Differential: registry workloads, both flows, 4 workers             *)
+(* Differential: registry workloads, both flows, 1 and 4 workers       *)
 (* ------------------------------------------------------------------ *)
 
 let registry_workloads = [ "conv2d"; "unsharp_mask"; "harris"; "jacobi_unrolled"; "2mm" ]
@@ -53,6 +49,22 @@ let test_registry_parallel () =
       let p = e.Registry.small () in
       differential ~jobs:4 p (compile p))
     registry_workloads
+
+(* One worker runs the items in id order on the calling domain. *)
+let test_registry_one_worker () =
+  List.iter
+    (fun name ->
+      let e = Registry.find name in
+      let p = e.Registry.small () in
+      let v = compile p in
+      differential ~jobs:1 p v;
+      let r = Runtime.run ~jobs:1 p ~deps:(Exp_util.deps_of p v) v.Exp_util.ast in
+      check bool
+        (Printf.sprintf "%s: one worker runs tiles in id order" name)
+        true
+        (List.map (fun t -> t.Executor.tl_tile) r.Runtime.metrics.Executor.m_timeline
+        = List.init (Tile_graph.n_items r.Runtime.graph) Fun.id))
+    [ "conv2d"; "unsharp_mask"; "harris"; "jacobi_unrolled" ]
 
 let test_registry_smartfuse_parallel () =
   List.iter
@@ -83,7 +95,7 @@ let graph_of ?(tile = 8) name =
   let e = Registry.find name in
   let p = e.Registry.small () in
   let v = compile ~tile p in
-  (p, v, Tile_graph.extract p ~deps:(deps_of p v) v.Exp_util.ast)
+  (p, v, Tile_graph.extract p ~deps:(Exp_util.deps_of p v) v.Exp_util.ast)
 
 let graph_invariants (g : Tile_graph.t) =
   let n = Tile_graph.n_items g in
@@ -107,7 +119,8 @@ let test_extract_conv2d () =
   let _, _, g = graph_of "conv2d" in
   check int "conv2d tiles" 4 (Tile_graph.n_items g);
   check int "conv2d edges" 6 g.Tile_graph.n_edges;
-  check bool "conv2d analyzable" false g.Tile_graph.has_opaque;
+  check bool "conv2d analyzable" false
+    (Array.exists (fun it -> it.Tile_graph.opaque) g.Tile_graph.items);
   graph_invariants g
 
 let test_extract_jacobi () =
@@ -124,7 +137,7 @@ let test_extract_harris_invariants () =
 
 let test_extract_deterministic () =
   let p, v, g1 = graph_of "harris" in
-  let g2 = Tile_graph.extract p ~deps:(deps_of p v) v.Exp_util.ast in
+  let g2 = Tile_graph.extract p ~deps:(Exp_util.deps_of p v) v.Exp_util.ast in
   check int "same tiles" (Tile_graph.n_items g1) (Tile_graph.n_items g2);
   check int "same edges" g1.Tile_graph.n_edges g2.Tile_graph.n_edges;
   Array.iteri
@@ -135,7 +148,7 @@ let test_max_tiles_cap () =
   let e = Registry.find "harris" in
   let p = e.Registry.small () in
   let v = compile p in
-  let g = Tile_graph.extract ~max_tiles:2 p ~deps:(deps_of p v) v.Exp_util.ast in
+  let g = Tile_graph.extract ~max_tiles:2 p ~deps:(Exp_util.deps_of p v) v.Exp_util.ast in
   (* the cap is soft: coarsened subtrees still execute correctly *)
   check bool "capped below full graph" true (Tile_graph.n_items g <= 4);
   let mem = Interp.alloc p in
@@ -143,27 +156,6 @@ let test_max_tiles_cap () =
   ignore (Executor.run_sequential p g mem);
   let oracle = Cpu_model.run_to_memory p v.Exp_util.ast in
   check bool "coarsened graph still correct" true (live_out_equal p mem oracle)
-
-(* ------------------------------------------------------------------ *)
-(* Executor modes                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_wavefront_mode () =
-  List.iter
-    (fun name ->
-      let e = Registry.find name in
-      let p = e.Registry.small () in
-      differential ~mode:Executor.Wavefront ~jobs:3 p (compile p))
-    [ "harris"; "conv2d" ]
-
-let test_seq_mode () =
-  let e = Registry.find "unsharp_mask" in
-  let p = e.Registry.small () in
-  differential ~mode:Executor.Seq ~jobs:4 p (compile p)
-
-let test_default_mode () =
-  let _, _, g = graph_of "conv2d" in
-  check bool "analyzable graph runs dag" true (Runtime.default_mode g = Executor.Dag)
 
 (* ------------------------------------------------------------------ *)
 (* Timelines: busy-time conservation                                   *)
@@ -176,7 +168,7 @@ let test_timeline_conservation () =
   let e = Registry.find "harris" in
   let p = e.Registry.small () in
   let v = compile p in
-  let deps = deps_of p v in
+  let deps = Exp_util.deps_of p v in
   List.iter
     (fun jobs ->
       let r = Runtime.run ~jobs p ~deps v.Exp_util.ast in
@@ -234,7 +226,7 @@ let test_race_checker_fires () =
   let e = Registry.find "harris" in
   let p = e.Registry.small () in
   let v = compile p in
-  let g = Tile_graph.extract p ~deps:(deps_of p v) v.Exp_util.ast in
+  let g = Tile_graph.extract p ~deps:(Exp_util.deps_of p v) v.Exp_util.ast in
   check bool "needs edges for the test to mean anything" true (g.Tile_graph.n_edges > 0);
   let n = Tile_graph.n_items g in
   let reversed = Array.init n (fun i -> n - 1 - i) in
@@ -255,7 +247,7 @@ let test_race_checker_silent_on_valid_order () =
   let e = Registry.find "harris" in
   let p = e.Registry.small () in
   let v = compile p in
-  let g = Tile_graph.extract p ~deps:(deps_of p v) v.Exp_util.ast in
+  let g = Tile_graph.extract p ~deps:(Exp_util.deps_of p v) v.Exp_util.ast in
   let mem = Interp.alloc p in
   Cpu_model.deterministic_fill p mem;
   let m = Executor.run_sequential ~race_check:true p g mem in
@@ -267,7 +259,9 @@ let () =
         [ Alcotest.test_case "registry x ours, 4 workers" `Slow test_registry_parallel;
           Alcotest.test_case "registry x smartfuse, 4 workers" `Slow
             test_registry_smartfuse_parallel;
-          Alcotest.test_case "fuzz seeds 0/2000/3000" `Slow test_fuzz_parallel
+          Alcotest.test_case "fuzz seeds 0/2000/3000" `Slow test_fuzz_parallel;
+          Alcotest.test_case "registry x ours, 1 worker" `Quick
+            test_registry_one_worker
         ] );
       ( "tile-graph",
         [ Alcotest.test_case "conv2d counts" `Quick test_extract_conv2d;
@@ -275,11 +269,6 @@ let () =
           Alcotest.test_case "harris invariants" `Quick test_extract_harris_invariants;
           Alcotest.test_case "deterministic" `Quick test_extract_deterministic;
           Alcotest.test_case "max-tiles cap" `Quick test_max_tiles_cap
-        ] );
-      ( "modes",
-        [ Alcotest.test_case "wavefront" `Slow test_wavefront_mode;
-          Alcotest.test_case "sequential" `Quick test_seq_mode;
-          Alcotest.test_case "default mode" `Quick test_default_mode
         ] );
       ( "timelines",
         [ Alcotest.test_case "busy-time conservation across jobs" `Quick
