@@ -1,85 +1,31 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section VI) through the machine models, and snapshots,
-   gates and reports the compiler's own pass counters.
+   gates and reports the compiler's exact counts.
 
    Usage:
      bench/main.exe                 run everything
      bench/main.exe table1 fig8 ... run selected experiments
-     bench/main.exe profile         per-workload/flow pass-counter
-                                    breakdown (lib/obs instrumentation)
      bench/main.exe verify          semantic cross-check of all versions
      bench/main.exe snapshot --out FILE [--workloads a,b,c] [--small]
                              [--seed N] [--label L]
-                                    write a BENCH_*.json perf snapshot
-                                    (one record per workload x flow)
-     bench/main.exe regress --base FILE --cand FILE [--max-time-ratio R]
-                            [--time-floor S] [--json]
-                                    diff two snapshots; exit 1 on
-                                    regression (the CI gate), 2 on error
+                                    write a BENCH_*.json snapshot database
+                                    (one record of exact counts per
+                                    workload x flow)
+     bench/main.exe regress --base FILE --cand FILE [--json]
+                                    diff two databases, every metric
+                                    exactly; exit 1 on regression (the
+                                    CI gate), 2 on error
      bench/main.exe report --base FILE --cand FILE
                                     per-array traffic-attribution diff
-                                    between two snapshots (informational,
+                                    between two databases (informational,
                                     never gates)
      bench/main.exe parallel [--small] [--workloads a,b] [--jobs N]
                              [--tile N] [--repeat R] [--warmup W]
-                             [--out FILE] [--label L]
                                     jobs sweep of the parallel tile-graph
                                     runtime (lib/runtime): trimmed-mean
                                     wall times, speedup vs --jobs 1, and
                                     a race-checked equivalence run; exit
                                     1 on a mismatch or a race *)
-
-(* Per-workload/flow counter breakdown through the lib/obs
-   instrumentation: compile every registered workload (reduced size)
-   with the start-up heuristic flow and the paper's full flow, and
-   print the dominant pass counters so a regression in pass cost shows
-   up as a diff between benchmark runs. *)
-let profile () =
-  let counters =
-    [ ("fm.elim", "fm.eliminate");
-      ("fm.empty", "fm.is_empty");
-      ("bmap.apply", "bmap.apply_range");
-      ("deps", "deps.edges");
-      ("steps", "fusion.search_steps");
-      ("fuse+", "fusion.fuse_accept");
-      ("exts", "tile_shapes.extensions")
-    ]
-  in
-  let header =
-    [ "workload"; "flow"; "compile ms" ] @ List.map fst counters
-  in
-  let rows = ref [] in
-  List.iter
-    (fun (e : Registry.entry) ->
-      let run_flow flow_name compile =
-        Obs.reset ();
-        Presburger.Fm_cache.reset ();
-        Obs.enable ();
-        let p = e.Registry.small () in
-        let t0 = Unix.gettimeofday () in
-        (try compile p
-         with exn ->
-           Printf.eprintf "profile: %s/%s failed: %s\n" e.Registry.reg_name
-             flow_name (Printexc.to_string exn));
-        let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-        let row =
-          [ e.Registry.reg_name; flow_name; Printf.sprintf "%.1f" ms ]
-          @ List.map
-              (fun (_, c) -> string_of_int (Obs.counter_value c))
-              counters
-        in
-        Obs.disable ();
-        rows := row :: !rows
-      in
-      run_flow "smartfuse" (fun p ->
-          ignore
-            (Core.Pipeline.run_heuristic ~target:Core.Pipeline.Cpu
-               Fusion.Smartfuse p));
-      run_flow "ours" (fun p ->
-          ignore (Core.Pipeline.run ~target:Core.Pipeline.Cpu p)))
-    Registry.all;
-  Exp_util.section "Pass profile: counters per workload/flow (small sizes)";
-  Exp_util.print_table ~header (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
 (* snapshot / regress: the perf-snapshot and regression-gate commands  *)
@@ -113,7 +59,8 @@ let snapshot_flows =
 (* Compile one workload with one flow under full instrumentation and
    freeze the result. The cache/interp counters come from the trace-
    driven CPU profile, the traffic volumes from the polyhedral
-   footprint model, so a snapshot captures compile-side and machine-
+   footprint model, and one sequential tile-graph run adds the
+   runtime.* counters, so a snapshot captures compile-side and machine-
    side behaviour at once. *)
 let collect_one ~small (e : Registry.entry) (flow_name, compile) =
   Obs.reset ();
@@ -132,18 +79,7 @@ let collect_one ~small (e : Registry.entry) (flow_name, compile) =
           (a, tr.Footprints.read_bytes, tr.Footprints.write_bytes))
         (Footprints.program_traffic_by_array p clusters)
     in
-    (* parallel runtime: one sequential and one 2-worker execution, so
-       the runtime.* counters land in the counters map and the
-       wall-clock ratio becomes the snapshot's (noisy, non-gating)
-       speedup field *)
-    let deps = Exp_util.deps_of p v in
-    let seq = Runtime.run ~jobs:1 p ~deps v.Exp_util.ast in
-    let par = Runtime.run ~jobs:2 p ~deps v.Exp_util.ast in
-    let speedup =
-      if par.Runtime.wall_s > 0.0 then
-        Some (seq.Runtime.wall_s /. par.Runtime.wall_s)
-      else None
-    in
+    ignore (Runtime.run p ~deps:(Exp_util.deps_of p v) v.Exp_util.ast);
     let cache_levels =
       List.map
         (fun (l : Cache.level_stats) ->
@@ -153,10 +89,8 @@ let collect_one ~small (e : Registry.entry) (flow_name, compile) =
           })
         report.Cpu_model.cache
     in
-    Snapshot.capture ?speedup ~attribution ~workload:e.Registry.reg_name
-      ~flow:flow_name
-      ~compile_s:v.Exp_util.compile_s ~cache_levels
-      ~dram_accesses:report.Cpu_model.dram
+    Snapshot.capture ~workload:e.Registry.reg_name ~flow:flow_name
+      ~cache_levels ~dram_accesses:report.Cpu_model.dram
       ~traffic:
         { Snapshot.tr_read_bytes = traffic.Footprints.read_bytes;
           tr_write_bytes = traffic.Footprints.write_bytes;
@@ -167,7 +101,7 @@ let collect_one ~small (e : Registry.entry) (flow_name, compile) =
           ast_kernels = List.length (Ast.kernels v.Exp_util.ast);
           ast_nodes = Ast.count_nodes v.Exp_util.ast
         }
-      ()
+      ~attribution
   with
   | snap ->
       finish ();
@@ -239,7 +173,9 @@ let snapshot_cmd args =
       entries
   in
   let expected = List.length entries * List.length snapshot_flows in
-  Bench_db.save out (Bench_db.make ~label snapshots);
+  (match Bench_db.save out (Bench_db.make ~label snapshots) with
+  | Ok () -> ()
+  | Error msg -> usage_error ("snapshot: " ^ msg));
   Printf.printf "wrote %d/%d snapshots (%d workloads x %d flows%s) to %s\n"
     (List.length snapshots) expected (List.length entries)
     (List.length snapshot_flows)
@@ -247,16 +183,11 @@ let snapshot_cmd args =
     out;
   if List.length snapshots < expected then exit 1
 
-let regress_cmd args =
+(* The --base/--cand database pair of regress and report, parsed and
+   loaded; [json] (regress only) is set by --json. *)
+let load_pair cmd ?json args =
   let base = ref None in
   let cand = ref None in
-  let thresholds = ref Bench_db.default_thresholds in
-  let json = ref false in
-  let float_arg name v =
-    match float_of_string_opt v with
-    | Some f -> f
-    | None -> usage_error (Printf.sprintf "%s expects a number, got %S" name v)
-  in
   let rec parse = function
     | [] -> ()
     | "--base" :: f :: rest ->
@@ -265,26 +196,16 @@ let regress_cmd args =
     | "--cand" :: f :: rest ->
         cand := Some f;
         parse rest
-    | "--max-time-ratio" :: r :: rest ->
-        thresholds :=
-          { !thresholds with
-            Bench_db.max_time_ratio = float_arg "--max-time-ratio" r
-          };
+    | "--json" :: rest when json <> None ->
+        Option.iter (fun r -> r := true) json;
         parse rest
-    | "--time-floor" :: s :: rest ->
-        thresholds :=
-          { !thresholds with Bench_db.time_floor_s = float_arg "--time-floor" s };
-        parse rest
-    | "--json" :: rest ->
-        json := true;
-        parse rest
-    | a :: _ -> usage_error (Printf.sprintf "regress: unknown argument %s" a)
+    | a :: _ -> usage_error (Printf.sprintf "%s: unknown argument %s" cmd a)
   in
   parse args;
   let required name r =
     match !r with
     | Some f -> f
-    | None -> usage_error (Printf.sprintf "regress: %s FILE is required" name)
+    | None -> usage_error (Printf.sprintf "%s: %s FILE is required" cmd name)
   in
   let base_file = required "--base" base in
   let cand_file = required "--cand" cand in
@@ -293,12 +214,13 @@ let regress_cmd args =
     | Ok db -> db
     | Error msg -> usage_error (Printf.sprintf "%s: %s" name msg)
   in
-  let base_db = load "--base" base_file in
-  let cand_db = load "--cand" cand_file in
-  let deltas =
-    Bench_db.diff ~thresholds:!thresholds ~base:base_db ~cand:cand_db ()
-  in
-  if !json then print_endline (Bench_db.deltas_json ~thresholds:!thresholds deltas)
+  (load "--base" base_file, load "--cand" cand_file)
+
+let regress_cmd args =
+  let json = ref false in
+  let base_db, cand_db = load_pair "regress" ~json args in
+  let deltas = Bench_db.diff ~base:base_db ~cand:cand_db in
+  if !json then print_endline (Bench_db.deltas_json deltas)
   else begin
     Printf.printf "regress: %s (%s) -> %s (%s)\n" base_db.Bench_db.label
       base_db.Bench_db.created cand_db.Bench_db.label cand_db.Bench_db.created;
@@ -312,34 +234,9 @@ let regress_cmd args =
 
 (* Informational (never gates): shows where the traffic moved when the
    totals changed, array by array. Pairs snapshots by workload x flow
-   like regress does; snapshots without attribution (pre-v3 files, the
-   naive flow) are skipped with a note. *)
+   like regress does. *)
 let report_cmd args =
-  let base = ref None in
-  let cand = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--base" :: f :: rest ->
-        base := Some f;
-        parse rest
-    | "--cand" :: f :: rest ->
-        cand := Some f;
-        parse rest
-    | a :: _ -> usage_error (Printf.sprintf "report: unknown argument %s" a)
-  in
-  parse args;
-  let required name r =
-    match !r with
-    | Some f -> f
-    | None -> usage_error (Printf.sprintf "report: %s FILE is required" name)
-  in
-  let load name file =
-    match Bench_db.load file with
-    | Ok db -> db
-    | Error msg -> usage_error (Printf.sprintf "%s: %s" name msg)
-  in
-  let base_db = load "--base" (required "--base" base) in
-  let cand_db = load "--cand" (required "--cand" cand) in
+  let base_db, cand_db = load_pair "report" args in
   Printf.printf "attribution report: %s (%s) -> %s (%s)\n" base_db.Bench_db.label
     base_db.Bench_db.created cand_db.Bench_db.label cand_db.Bench_db.created;
   let key (s : Snapshot.t) = (s.Snapshot.workload, s.Snapshot.flow) in
@@ -352,49 +249,44 @@ let report_cmd args =
       let w, f = key b in
       match find cand_db (w, f) with
       | None -> Printf.printf "  %s/%s: missing from candidate\n" w f
-      | Some c -> (
-          match (b.Snapshot.attribution, c.Snapshot.attribution) with
-          | None, _ | _, None ->
-              Printf.printf "  %s/%s: no attribution recorded (pre-v3 \
-                             snapshot or naive flow)\n" w f
-          | Some ba, Some ca ->
-              let arrays =
-                List.sort_uniq compare
-                  (List.map (fun (a, _, _) -> a) (ba @ ca))
-              in
-              let lookup rows a =
-                match List.find_opt (fun (n, _, _) -> n = a) rows with
-                | Some (_, r, wr) -> (r, wr)
-                | None -> (0, 0)
-              in
-              let rows =
-                List.filter_map
-                  (fun a ->
-                    let br, bw = lookup ba a in
-                    let cr, cw = lookup ca a in
-                    if br = cr && bw = cw then None
-                    else
-                      Some
-                        [ a;
-                          string_of_int br; string_of_int cr;
-                          Printf.sprintf "%+d" (cr - br);
-                          string_of_int bw; string_of_int cw;
-                          Printf.sprintf "%+d" (cw - bw)
-                        ])
-                  arrays
-              in
-              if rows = [] then
-                Printf.printf "  %s/%s: attribution unchanged (%d arrays)\n" w
-                  f (List.length arrays)
-              else begin
-                incr changed;
-                Printf.printf "  %s/%s:\n" w f;
-                Exp_util.print_table
-                  ~header:
-                    [ "array"; "read"; "read'"; "dread"; "write"; "write'";
-                      "dwrite" ]
-                  rows
-              end))
+      | Some c ->
+          let ba = b.Snapshot.attribution and ca = c.Snapshot.attribution in
+          let arrays =
+            List.sort_uniq compare (List.map (fun (a, _, _) -> a) (ba @ ca))
+          in
+          let lookup rows a =
+            match List.find_opt (fun (n, _, _) -> n = a) rows with
+            | Some (_, r, wr) -> (r, wr)
+            | None -> (0, 0)
+          in
+          let rows =
+            List.filter_map
+              (fun a ->
+                let br, bw = lookup ba a in
+                let cr, cw = lookup ca a in
+                if br = cr && bw = cw then None
+                else
+                  Some
+                    [ a;
+                      string_of_int br; string_of_int cr;
+                      Printf.sprintf "%+d" (cr - br);
+                      string_of_int bw; string_of_int cw;
+                      Printf.sprintf "%+d" (cw - bw)
+                    ])
+              arrays
+          in
+          if rows = [] then
+            Printf.printf "  %s/%s: attribution unchanged (%d arrays)\n" w f
+              (List.length arrays)
+          else begin
+            incr changed;
+            Printf.printf "  %s/%s:\n" w f;
+            Exp_util.print_table
+              ~header:
+                [ "array"; "read"; "read'"; "dread"; "write"; "write'";
+                  "dwrite" ]
+              rows
+          end)
     base_db.Bench_db.snapshots;
   Printf.printf "%d workload/flow pair(s) with attribution changes\n" !changed
 
@@ -424,8 +316,6 @@ let parallel_cmd args =
   let tile = ref 8 in
   let repeat = ref 5 in
   let warmup = ref 1 in
-  let out = ref None in
-  let label = ref None in
   let int_arg name v =
     match int_of_string_opt v with
     | Some i when i > 0 -> i
@@ -451,17 +341,11 @@ let parallel_cmd args =
     | "--warmup" :: n :: rest ->
         warmup := int_arg "--warmup" n;
         parse rest
-    | "--out" :: f :: rest ->
-        out := Some f;
-        parse rest
-    | "--label" :: l :: rest ->
-        label := Some l;
-        parse rest
     | a :: _ -> usage_error (Printf.sprintf "parallel: unknown argument %s" a)
   in
   parse args;
   (* flag > MEMCOMP_JOBS > the sweep's historical default of 4 *)
-  let jobs = ref (Cli_util.resolve_jobs ~default:4 !jobs_flag) in
+  let jobs = Cli_util.resolve_jobs ~default:4 !jobs_flag in
   let entries =
     match !workloads with
     | Some names -> entries_of names
@@ -470,7 +354,7 @@ let parallel_cmd args =
   (* powers of two up to --jobs, always ending at --jobs itself *)
   let sweep =
     let rec build j acc =
-      if j >= !jobs then List.rev (!jobs :: acc) else build (j * 2) (j :: acc)
+      if j >= jobs then List.rev (jobs :: acc) else build (j * 2) (j :: acc)
     in
     build 1 []
   in
@@ -486,7 +370,6 @@ let parallel_cmd args =
     @ [ "speedup"; "semantics"; "races" ]
   in
   let rows = ref [] in
-  let measured = ref [] in
   let failed = ref false in
   List.iter
     (fun (e : Registry.entry) ->
@@ -505,11 +388,11 @@ let parallel_cmd args =
       in
       let times = List.map (fun j -> (j, measure j)) sweep in
       let t1 = List.assoc 1 times in
-      let tn = List.assoc !jobs times in
+      let tn = List.assoc jobs times in
       let speedup = if tn > 0.0 then t1 /. tn else 1.0 in
       (* correctness: one race-checked run at max jobs vs the
          sequential interpreter *)
-      let par = Runtime.run ~jobs:!jobs ~race_check:true p ~deps v.Exp_util.ast in
+      let par = Runtime.run ~jobs ~race_check:true p ~deps v.Exp_util.ast in
       let oracle = Cpu_model.run_to_memory p v.Exp_util.ast in
       let ok =
         List.for_all
@@ -517,7 +400,6 @@ let parallel_cmd args =
           p.Prog.live_out
       in
       let races = par.Runtime.metrics.Executor.m_violations in
-      measured := (e, speedup) :: !measured;
       rows :=
         ([ e.Registry.reg_name;
            string_of_int (Array.length par.Runtime.graph.Tile_graph.items);
@@ -540,29 +422,7 @@ let parallel_cmd args =
   Exp_util.print_table ~header (List.rev !rows);
   print_endline
     "  (speedup = trimmed-mean j=1 wall / trimmed-mean j=max wall; noisy,\n\
-    \   never gates regress. On a 1-core host expect <= 1.0x.)";
-  (match !out with
-  | None -> ()
-  | Some file ->
-      let label =
-        match !label with
-        | Some l -> l
-        | None -> Filename.remove_extension (Filename.basename file)
-      in
-      let flow =
-        ("ours", fun p -> Exp_util.ours ~tile:!tile ~target:Core.Pipeline.Cpu p)
-      in
-      let snaps =
-        List.filter_map
-          (fun (e, sp) ->
-            Option.map
-              (fun s -> { s with Snapshot.speedup = Some sp })
-              (collect_one ~small:!small e flow))
-          (List.rev !measured)
-      in
-      Bench_db.save file (Bench_db.make ~label snaps);
-      Printf.printf "wrote %d parallel snapshots to %s\n" (List.length snaps)
-        file);
+    \   never gates. On a 1-core host expect <= 1.0x.)";
   (* every reported speedup must be backed by a run that matches the
      interpreter with no race *)
   if !failed then exit 1
@@ -683,8 +543,7 @@ let experiments =
     ("table3", Paper_experiments.table3);
     ("compile_time", Paper_experiments.compile_time);
     ("ablations", Ablations.run_all);
-    ("verify", Paper_experiments.verify);
-    ("profile", profile)
+    ("verify", Paper_experiments.verify)
   ]
 
 let () =

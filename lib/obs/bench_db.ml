@@ -1,34 +1,26 @@
-(* BENCH_<label>.json databases: a labelled list of snapshots plus a
-   metric-by-metric diff with per-kind thresholds, powering the
-   [bench/main.exe regress] CI gate.
+(* BENCH_<label>.json databases: a labelled list of snapshots plus an
+   exact metric-by-metric diff, powering the [bench/main.exe regress]
+   CI gate.
 
    Classification rules:
-   - Time metrics (compile wall time, span totals) are ratio-gated with
-     a noise floor: both sides are clamped up to [time_floor_s] before
-     comparing, so sub-floor jitter can never trip the gate, and a
-     metric regresses only when it exceeds [max_time_ratio] times the
-     (clamped) base.
-   - Counter metrics (pass counters, cache hits/misses, traffic bytes,
-     AST sizes) are exact: the compiler is deterministic, so any drift
-     is a real behaviour change. An increase classifies as regressed, a
-     decrease as improved; intentional changes are absorbed by
-     refreshing the committed baseline.
+   - Every metric is an integer count and compares exactly: the
+     compiler is deterministic, so any drift is a real behaviour
+     change. An increase classifies as regressed, a decrease as
+     improved; intentional changes are absorbed by refreshing the
+     committed baseline.
    - A workload x flow present in the base but missing from the
      candidate (e.g. a flow that now crashes) regresses; a pair only in
      the candidate is reported as added but does not gate.
-   - The same direction rule holds metric by metric: a time or counter
-     metric present in the base but absent from the candidate is
-     reported as removed AND fails the gate (silently lost coverage),
-     while a metric only in the candidate is added and never gates.
-     Noisy metrics (the optional speedup field) may come and go. *)
+   - The same direction rule holds metric by metric: a metric present
+     in the base but absent from the candidate is reported as removed
+     AND fails the gate (silently lost coverage), while a metric only
+     in the candidate is added and never gates. *)
 
 type t = { label : string; created : string; snapshots : Snapshot.t list }
 
-(* v2: snapshots may carry the optional speedup field and runtime.*
-   counters; v1 files still load (the additions are optional). *)
-let schema_version = 2
-
-let min_schema_version = 1
+(* Bumped whenever a snapshot field changes. [load] accepts no other
+   version, so an old baseline is refused rather than half-compared. *)
+let schema_version = 4
 
 let iso8601 time =
   let tm = Unix.gmtime time in
@@ -66,10 +58,10 @@ let of_json j =
     | Snapshot.Json.Num f -> Ok (int_of_float f)
     | _ -> Error "field \"schema_version\" is not a number"
   in
-  if version < min_schema_version || version > schema_version then
+  if version <> schema_version then
     Error
-      (Printf.sprintf "unsupported schema_version %d (supported: %d-%d)" version
-         min_schema_version schema_version)
+      (Printf.sprintf "unsupported schema_version %d (expected %d)" version
+         schema_version)
   else
     let* label_j = field "label" in
     let* label =
@@ -97,35 +89,20 @@ let of_json j =
     in
     Ok { label; created; snapshots }
 
-let save path db =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Snapshot.Json.to_string (to_json db));
-      output_char oc '\n')
+let save path db = Json_util.write_json path (to_json db)
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | text -> (
-      match Snapshot.Json.parse text with
-      | Error msg -> Error (Printf.sprintf "%s: invalid JSON: %s" path msg)
-      | Ok j -> (
-          match of_json j with
-          | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-          | Ok db -> Ok db))
+  let* text = Json_util.read_file path in
+  match Snapshot.Json.parse text with
+  | Error msg -> Error (Printf.sprintf "%s: invalid JSON: %s" path msg)
+  | Ok j -> (
+      match of_json j with
+      | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
+      | Ok db -> Ok db)
 
 (* ------------------------------------------------------------------ *)
 (* Diff and classification                                             *)
 (* ------------------------------------------------------------------ *)
-
-type kind = Time | Counter | Noisy
 
 type classification = Improved | Unchanged | Regressed | Added | Removed
 
@@ -133,111 +110,75 @@ type delta = {
   d_workload : string;
   d_flow : string;
   d_metric : string;
-  d_kind : kind;
-  d_base : float;
-  d_cand : float;
+  d_base : int;
+  d_cand : int;
   d_class : classification;
 }
-
-type thresholds = { max_time_ratio : float; time_floor_s : float }
-
-let default_thresholds = { max_time_ratio = 2.0; time_floor_s = 0.1 }
-
-let classify_time th ~base ~cand =
-  let b = Float.max base th.time_floor_s in
-  let c = Float.max cand th.time_floor_s in
-  if c > b *. th.max_time_ratio then Regressed
-  else if b > c *. th.max_time_ratio then Improved
-  else Unchanged
 
 let classify_counter ~base ~cand =
   if cand > base then Regressed else if cand < base then Improved else Unchanged
 
-(* Metrics that are inherently nondeterministic across runs -- work-
-   stealing counts, per-worker busy time, measured wall-clock speedup.
-   They are recorded for inspection but never gate. The runtime no
-   longer records barrier waits; the name stays because older
-   snapshots (the committed baseline among them) still carry it, and
-   [regress] looks a metric's kind up by name. *)
-let noisy_counters =
-  [ "runtime.steals"; "runtime.barrier_waits"; "runtime.busy_us" ]
-
-let counter_kind name = if List.mem name noisy_counters then Noisy else Counter
-
-(* Flatten a snapshot into named scalar metrics. Span wall times are
-   Time metrics; span call counts, like everything else, are exact. *)
-let metrics_of (s : Snapshot.t) : (string * kind * float) list =
-  let i v = float_of_int v in
-  [ ("compile_s", Time, s.Snapshot.compile_s) ]
-  @ List.concat_map
-      (fun (sp : Snapshot.span) ->
-        [ ("span." ^ sp.Snapshot.sp_name ^ ".total_s", Time, sp.Snapshot.sp_total_s);
-          ("span." ^ sp.Snapshot.sp_name ^ ".calls", Counter, i sp.Snapshot.sp_calls)
-        ])
-      s.Snapshot.spans
-  @ List.map
-      (fun (name, v) -> ("counter." ^ name, counter_kind name, i v))
-      s.Snapshot.counters
+(* Flatten a snapshot into named integer metrics. *)
+let metrics_of (s : Snapshot.t) : (string * int) list =
+  List.map (fun (name, n) -> ("span." ^ name ^ ".calls", n)) s.Snapshot.span_calls
+  @ List.map (fun (name, v) -> ("counter." ^ name, v)) s.Snapshot.counters
   @ List.concat_map
       (fun (l : Snapshot.cache_level) ->
-        [ ("cache." ^ l.Snapshot.cl_name ^ ".hits", Counter, i l.Snapshot.cl_hits);
-          ("cache." ^ l.Snapshot.cl_name ^ ".misses", Counter, i l.Snapshot.cl_misses)
+        [ ("cache." ^ l.Snapshot.cl_name ^ ".hits", l.Snapshot.cl_hits);
+          ("cache." ^ l.Snapshot.cl_name ^ ".misses", l.Snapshot.cl_misses)
         ])
       s.Snapshot.cache_levels
-  @ [ ("cache.dram", Counter, i s.Snapshot.dram_accesses);
-      ("traffic.read_bytes", Counter, i s.Snapshot.traffic.Snapshot.tr_read_bytes);
-      ("traffic.write_bytes", Counter, i s.Snapshot.traffic.Snapshot.tr_write_bytes);
-      ("traffic.staged_bytes", Counter, i s.Snapshot.traffic.Snapshot.tr_staged_bytes);
-      ("ast.loops", Counter, i s.Snapshot.ast.Snapshot.ast_loops);
-      ("ast.kernels", Counter, i s.Snapshot.ast.Snapshot.ast_kernels);
-      ("ast.nodes", Counter, i s.Snapshot.ast.Snapshot.ast_nodes)
+  @ [ ("cache.dram", s.Snapshot.dram_accesses);
+      ("traffic.read_bytes", s.Snapshot.traffic.Snapshot.tr_read_bytes);
+      ("traffic.write_bytes", s.Snapshot.traffic.Snapshot.tr_write_bytes);
+      ("traffic.staged_bytes", s.Snapshot.traffic.Snapshot.tr_staged_bytes);
+      ("ast.loops", s.Snapshot.ast.Snapshot.ast_loops);
+      ("ast.kernels", s.Snapshot.ast.Snapshot.ast_kernels);
+      ("ast.nodes", s.Snapshot.ast.Snapshot.ast_nodes)
     ]
-  @ (match s.Snapshot.speedup with
-    | Some f -> [ ("speedup", Noisy, f) ]
-    | None -> [])
 
-let diff_snapshots th (base : Snapshot.t) (cand : Snapshot.t) =
-  let mk metric kind b c cls =
+let diff_snapshots (base : Snapshot.t) (cand : Snapshot.t) =
+  let mk metric b c cls =
     { d_workload = base.Snapshot.workload;
       d_flow = base.Snapshot.flow;
       d_metric = metric;
-      d_kind = kind;
       d_base = b;
       d_cand = c;
       d_class = cls
     }
   in
-  let bm = metrics_of base and cm = metrics_of cand in
+  let cm = metrics_of cand in
   let cand_tbl = Hashtbl.create 64 in
-  List.iter (fun (name, kind, v) -> Hashtbl.replace cand_tbl name (kind, v)) cm;
+  List.iter (fun (name, v) -> Hashtbl.replace cand_tbl name v) cm;
   let matched =
     List.map
-      (fun (name, kind, b) ->
+      (fun (name, b) ->
         match Hashtbl.find_opt cand_tbl name with
-        | None -> mk name kind b 0.0 Removed
-        | Some (_, c) ->
+        | None -> mk name b 0 Removed
+        | Some c ->
             Hashtbl.remove cand_tbl name;
-            let cls =
-              match kind with
-              | Time -> classify_time th ~base:b ~cand:c
-              | Counter ->
-                  classify_counter ~base:(int_of_float b) ~cand:(int_of_float c)
-              | Noisy -> Unchanged
-            in
-            mk name kind b c cls)
-      bm
+            mk name b c (classify_counter ~base:b ~cand:c))
+      (metrics_of base)
   in
   let added =
     List.filter_map
-      (fun (name, kind, c) ->
-        if Hashtbl.mem cand_tbl name then Some (mk name kind 0.0 c Added)
-        else None)
+      (fun (name, c) ->
+        if Hashtbl.mem cand_tbl name then Some (mk name 0 c Added) else None)
       cm
   in
   matched @ added
 
-let diff ?(thresholds = default_thresholds) ~base ~cand () =
+let diff ~base ~cand =
   let key (s : Snapshot.t) = (s.Snapshot.workload, s.Snapshot.flow) in
+  let presence (s : Snapshot.t) b c cls =
+    { d_workload = s.Snapshot.workload;
+      d_flow = s.Snapshot.flow;
+      d_metric = "snapshot.present";
+      d_base = b;
+      d_cand = c;
+      d_class = cls
+    }
+  in
   let cand_tbl = Hashtbl.create 32 in
   List.iter (fun s -> Hashtbl.replace cand_tbl (key s) s) cand.snapshots;
   let matched =
@@ -246,48 +187,30 @@ let diff ?(thresholds = default_thresholds) ~base ~cand () =
         match Hashtbl.find_opt cand_tbl (key b) with
         | Some c ->
             Hashtbl.remove cand_tbl (key b);
-            diff_snapshots thresholds b c
+            diff_snapshots b c
         | None ->
             (* the whole pair vanished from the candidate: gate *)
-            [ { d_workload = b.Snapshot.workload;
-                d_flow = b.Snapshot.flow;
-                d_metric = "snapshot.present";
-                d_kind = Counter;
-                d_base = 1.0;
-                d_cand = 0.0;
-                d_class = Regressed
-              } ])
+            [ presence b 1 0 Regressed ])
       base.snapshots
   in
   let added =
     List.filter_map
       (fun (c : Snapshot.t) ->
-        if Hashtbl.mem cand_tbl (key c) then
-          Some
-            { d_workload = c.Snapshot.workload;
-              d_flow = c.Snapshot.flow;
-              d_metric = "snapshot.present";
-              d_kind = Counter;
-              d_base = 0.0;
-              d_cand = 1.0;
-              d_class = Added
-            }
+        if Hashtbl.mem cand_tbl (key c) then Some (presence c 0 1 Added)
         else None)
       cand.snapshots
   in
   matched @ added
 
-(* A delta gates when it is a plain regression, or when a gating-kind
-   metric silently vanished from the candidate: a counter or time
-   metric present in the base but absent in the candidate means lost
-   coverage (an instrumented path no longer runs, a span renamed), and
-   letting it "pass" would hide exactly the drift the gate exists to
-   catch. Direction matters: [Removed] gates, [Added] never does, and a
-   [Noisy] metric (e.g. the optional speedup field) may come and go. *)
+(* A delta gates when it is a plain regression, or when a metric
+   silently vanished from the candidate: a metric present in the base
+   but absent in the candidate means lost coverage (an instrumented
+   path no longer runs, a span renamed), and letting it "pass" would
+   hide exactly the drift the gate exists to catch. Direction matters:
+   [Removed] gates, [Added] never does. *)
 let gates d =
   match d.d_class with
-  | Regressed -> true
-  | Removed -> d.d_kind <> Noisy
+  | Regressed | Removed -> true
   | Improved | Unchanged | Added -> false
 
 let regressions deltas = List.filter gates deltas
@@ -305,23 +228,12 @@ let class_name = function
   | Added -> "added"
   | Removed -> "removed"
 
-let kind_name = function
-  | Time -> "time"
-  | Counter -> "counter"
-  | Noisy -> "noisy"
-
-let value_str kind v =
-  match kind with
-  | Time -> Printf.sprintf "%.4f" v
-  | Counter -> Printf.sprintf "%.0f" v
-  | Noisy -> Printf.sprintf "%.4g" v
-
 let summary_table deltas =
   let b = Buffer.create 2048 in
   let interesting = List.filter (fun d -> d.d_class <> Unchanged) deltas in
   let count cls = List.length (List.filter (fun d -> d.d_class = cls) deltas) in
   if interesting = [] then
-    Buffer.add_string b "all metrics unchanged within thresholds\n"
+    Buffer.add_string b "all metrics unchanged\n"
   else begin
     let rows =
       List.map
@@ -329,8 +241,8 @@ let summary_table deltas =
           [ d.d_workload;
             d.d_flow;
             d.d_metric;
-            value_str d.d_kind d.d_base;
-            value_str d.d_kind d.d_cand;
+            string_of_int d.d_base;
+            string_of_int d.d_cand;
             class_name d.d_class
           ])
         interesting
@@ -349,9 +261,7 @@ let summary_table deltas =
     let emit row =
       List.iteri
         (fun i cell ->
-          Buffer.add_string b
-            (Printf.sprintf "%s%-*s" (if i > 0 then "  " else "  ")
-               (List.nth widths i) cell))
+          Buffer.add_string b (Printf.sprintf "  %-*s" (List.nth widths i) cell))
         row;
       Buffer.add_char b '\n'
     in
@@ -367,7 +277,7 @@ let summary_table deltas =
        (count Added) (count Removed));
   Buffer.contents b
 
-let deltas_json ?(thresholds = default_thresholds) deltas =
+let deltas_json deltas =
   let open Snapshot.Json in
   let count cls = List.length (List.filter (fun d -> d.d_class = cls) deltas) in
   let delta_obj d =
@@ -375,20 +285,14 @@ let deltas_json ?(thresholds = default_thresholds) deltas =
       [ ("workload", Str d.d_workload);
         ("flow", Str d.d_flow);
         ("metric", Str d.d_metric);
-        ("kind", Str (kind_name d.d_kind));
-        ("base", Num d.d_base);
-        ("cand", Num d.d_cand);
+        ("base", Num (float_of_int d.d_base));
+        ("cand", Num (float_of_int d.d_cand));
         ("class", Str (String.lowercase_ascii (class_name d.d_class)))
       ]
   in
   to_string
     (Obj
        [ ("schema_version", Num (float_of_int schema_version));
-         ( "thresholds",
-           Obj
-             [ ("max_time_ratio", Num thresholds.max_time_ratio);
-               ("time_floor_s", Num thresholds.time_floor_s)
-             ] );
          ( "summary",
            Obj
              [ ("compared", Num (float_of_int (List.length deltas)));

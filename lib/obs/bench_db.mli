@@ -3,46 +3,34 @@
 
     A database is a labelled, timestamped list of {!Snapshot.t} (one per
     workload x flow). {!diff} pairs two databases by workload x flow,
-    flattens each snapshot into named scalar metrics, and classifies
-    every delta:
+    flattens each snapshot into named integer metrics, and compares
+    every one exactly:
 
-    - {e time} metrics (compile wall time, span totals) are ratio-gated
-      with a noise floor — both sides are clamped up to
-      [time_floor_s] first, so sub-floor jitter never gates;
-    - {e counter} metrics (pass counters, cache hits/misses, traffic
-      bytes, AST sizes) compare exactly: the compiler is deterministic,
-      any increase is a regression and any decrease an improvement.
-      Intentional changes are absorbed by refreshing the baseline;
-    - {e noisy} metrics (work-stealing counts, per-worker busy time,
-      measured speedup) are inherently nondeterministic: they are
-      recorded in snapshots for inspection but never gate;
+    - the compiler is deterministic, so any increase is a regression and
+      any decrease an improvement. Intentional changes are absorbed by
+      refreshing the baseline;
     - a workload x flow pair present in the base but missing from the
       candidate is a regression; a pair only in the candidate is
       reported as added but does not gate;
-    - missing-metric direction is explicit: a time/counter metric
-      present in the base but absent from the candidate is classified
-      {!Removed} and fails the gate (lost coverage), a metric only in
-      the candidate is {!Added} and never gates, and {!Noisy} metrics
-      may come and go freely. *)
+    - missing-metric direction is explicit: a metric present in the
+      base but absent from the candidate is classified {!Removed} and
+      fails the gate (lost coverage), and a metric only in the
+      candidate is {!Added} and never gates. *)
 
 type t = { label : string; created : string; snapshots : Snapshot.t list }
 
 val schema_version : int
-(** Version of the database file format (checked by {!load}). *)
+(** Version of the database file format. {!load} accepts no other. *)
 
 val make : label:string -> Snapshot.t list -> t
 (** Stamp a database with the current UTC time. *)
 
-val save : string -> t -> unit
+val save : string -> t -> (unit, string) result
+(** [Error] names the path. *)
 
 val load : string -> (t, string) result
 
 (** {1 Diff} *)
-
-type kind = Time | Counter | Noisy
-
-val noisy_counters : string list
-(** Obs counter names classified {!Noisy} (e.g. [runtime.steals]). *)
 
 type classification = Improved | Unchanged | Regressed | Added | Removed
 
@@ -50,29 +38,18 @@ type delta = {
   d_workload : string;
   d_flow : string;
   d_metric : string;
-  d_kind : kind;
-  d_base : float;
-  d_cand : float;
+  d_base : int;
+  d_cand : int;
   d_class : classification;
 }
 
-type thresholds = {
-  max_time_ratio : float;  (** time metric regresses beyond this ratio *)
-  time_floor_s : float;  (** noise floor: shorter times never gate *)
-}
-
-val default_thresholds : thresholds
-(** [{ max_time_ratio = 2.0; time_floor_s = 0.1 }] *)
-
-val classify_time : thresholds -> base:float -> cand:float -> classification
-
 val classify_counter : base:int -> cand:int -> classification
 
-val diff : ?thresholds:thresholds -> base:t -> cand:t -> unit -> delta list
+val diff : base:t -> cand:t -> delta list
 
 val regressions : delta list -> delta list
-(** The gating deltas: everything classified {!Regressed}, plus
-    non-{!Noisy} metrics classified {!Removed}. *)
+(** The gating deltas: everything classified {!Regressed} or
+    {!Removed}. *)
 
 val gate : delta list -> int
 (** [0] when {!regressions} is empty, [1] otherwise — the exit-code
@@ -84,6 +61,6 @@ val summary_table : delta list -> string
 (** Human-readable diff: one row per non-unchanged metric plus a
     summary count line. *)
 
-val deltas_json : ?thresholds:thresholds -> delta list -> string
-(** Machine-readable diff (thresholds, summary counts, non-unchanged
-    deltas) for the [--json] flag. *)
+val deltas_json : delta list -> string
+(** Machine-readable diff (summary counts and non-unchanged deltas)
+    for the [--json] flag. *)

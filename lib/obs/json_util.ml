@@ -2,10 +2,10 @@
 
    One escaper for every JSON producer in the tree (Obs exporters,
    Events JSONL, Snapshot files, tuning reports), one typed payload
-   value, and the minimal JSON document parser/printer that used to
-   live inside Snapshot. Keeping
-   them here, below Obs in the dependency graph, means every module
-   escapes strings byte-identically. *)
+   value, the minimal JSON document parser/printer, and the file I/O
+   of the snapshot and tuning databases. Keeping them here, below Obs
+   in the dependency graph, means every module escapes strings
+   byte-identically. *)
 
 let escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -275,3 +275,23 @@ module Json = struct
     | Obj fields -> List.assoc_opt key fields
     | _ -> None
 end
+
+(* Sys_error names the path when opening fails, but not when a read or
+   write on the open channel does (reading a directory, say). *)
+let io_error path msg =
+  let prefix = path ^ ": " in
+  Error (if String.starts_with ~prefix msg then msg else prefix ^ msg)
+
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error msg -> io_error path msg
+
+let write_json path j =
+  match
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc (Json.to_string j);
+        Out_channel.output_char oc '\n')
+  with
+  | () -> Ok ()
+  | exception Sys_error msg -> io_error path msg

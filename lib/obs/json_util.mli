@@ -1,7 +1,8 @@
 (** Shared JSON primitives for the observability layer: the single
     string escaper used by every JSON producer in the tree, the typed
-    payload value of {!Events}, and the minimal JSON document
-    parser/printer (formerly private to {!Snapshot}). *)
+    payload value of {!Events}, the minimal JSON document
+    parser/printer, and whole-file read/write whose errors name the
+    path. *)
 
 val escape : string -> string
 (** Escape a string for embedding in a JSON string literal. *)
@@ -39,3 +40,10 @@ module Json : sig
   val member : string -> t -> t option
   (** Field access on [Obj]; [None] on other constructors. *)
 end
+
+val read_file : string -> (string, string) result
+(** The whole file; [Error] names the path and the reason. *)
+
+val write_json : string -> Json.t -> (unit, string) result
+(** Write the document and a newline to the file; [Error] names the
+    path and the reason. *)

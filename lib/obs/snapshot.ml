@@ -1,38 +1,25 @@
 (* Perf snapshots: one typed record per workload x flow, covering the
-   compile-side signals (wall time, per-pass span totals, obs counters)
-   and the machine-model signals (simulated cache hits/misses, footprint
-   traffic volumes, generated-AST size), with a versioned JSON
-   (de)serialization that needs no external dependencies.
+   compile-side signals (per-pass span call counts, obs counters) and
+   the machine-model signals (simulated cache hits/misses, footprint
+   traffic volumes and their per-array attribution, generated-AST
+   size), with a JSON (de)serialization that needs no external
+   dependencies. Every field is a deterministic count, so a snapshot is
+   an exact fingerprint of the compiler's behaviour; wall time is
+   perf/'s job.
 
    A snapshot is pure data: the metric values from lib/machine and
    lib/codegen are computed by the collector (bench/main.ml) and passed
    in, so this module stays at the bottom of the dependency graph next
    to Obs. Only [capture] reads live Obs state.
 
-   The counters map carries whatever Obs counters the run recorded —
-   since PR 3 that includes the Fm memo-cache mirror counters
-   (fm.cache.<name>.hit/.miss/.evict and the fm.cache.hit/.miss/.evict
-   aggregates), so cache effectiveness is snapshotted and regression-
-   gated alongside the pass counters. The collector resets the caches
-   per workload x flow to keep them deterministic. *)
-
-(* ------------------------------------------------------------------ *)
-(* JSON documents come from the shared observability JSON layer.       *)
-(* ------------------------------------------------------------------ *)
+   The counters map carries whatever Obs counters the run recorded,
+   the Fm memo-cache mirror counters (fm.cache.<name>.hit/.miss/.evict
+   and the fm.cache.hit/.miss/.evict aggregates) among them, so cache
+   effectiveness is snapshotted and regression-gated alongside the pass
+   counters. The collector resets the caches per workload x flow to
+   keep them deterministic. *)
 
 module Json = Json_util.Json
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot record                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* v2: adds the optional [speedup] field (parallel-runtime wall-clock
-   ratio vs one worker); absent in v1 files, which still parse.
-   v3: adds the optional [attribution] field (per-array polyhedral
-   traffic); absent in v1/v2 files, which still parse. *)
-let schema_version = 3
-
-type span = { sp_name : string; sp_calls : int; sp_total_s : float }
 
 type cache_level = { cl_name : string; cl_hits : int; cl_misses : int }
 
@@ -47,39 +34,30 @@ type ast_stats = { ast_loops : int; ast_kernels : int; ast_nodes : int }
 type t = {
   workload : string;
   flow : string;
-  compile_s : float;
-  spans : span list;
+  span_calls : (string * int) list;
   counters : (string * int) list;
   cache_levels : cache_level list;
   dram_accesses : int;
   traffic : traffic;
   ast : ast_stats;
-  speedup : float option;
-      (* parallel runtime wall-clock speedup vs one worker; None when
-         the collector did not run the parallel runtime *)
-  attribution : (string * int * int) list option;
-      (* per-array (name, read_bytes, write_bytes) polyhedral traffic;
-         components sum to [traffic] exactly *)
+  attribution : (string * int * int) list;
 }
 
-let capture ?speedup ?attribution ~workload ~flow ~compile_s ~cache_levels
-    ~dram_accesses ~traffic ~ast () =
-  let spans =
+let capture ~workload ~flow ~cache_levels ~dram_accesses ~traffic ~ast
+    ~attribution =
+  let span_calls =
     Obs.spans_alist ()
-    |> List.map (fun (name, (calls, total_s, _max_s)) ->
-           { sp_name = name; sp_calls = calls; sp_total_s = total_s })
-    |> List.sort (fun a b -> compare a.sp_name b.sp_name)
+    |> List.map (fun (name, (calls, _total_s, _max_s)) -> (name, calls))
+    |> List.sort compare
   in
   { workload;
     flow;
-    compile_s;
-    spans;
+    span_calls;
     counters = Obs.counters_alist ();
     cache_levels;
     dram_accesses;
     traffic;
     ast;
-    speedup;
     attribution
   }
 
@@ -89,22 +67,14 @@ let capture ?speedup ?attribution ~workload ~flow ~compile_s ~cache_levels
 
 let num i = Json.Num (float_of_int i)
 
+let int_map kvs = Json.Obj (List.map (fun (k, v) -> (k, num v)) kvs)
+
 let to_json s =
-  let base =
+  Json.Obj
     [ ("workload", Json.Str s.workload);
       ("flow", Json.Str s.flow);
-      ("compile_s", Json.Num s.compile_s);
-      ( "spans",
-        Json.Obj
-          (List.map
-             (fun sp ->
-               ( sp.sp_name,
-                 Json.Obj
-                   [ ("calls", num sp.sp_calls);
-                     ("total_s", Json.Num sp.sp_total_s)
-                   ] ))
-             s.spans) );
-      ("counters", Json.Obj (List.map (fun (k, v) -> (k, num v)) s.counters));
+      ("span_calls", int_map s.span_calls);
+      ("counters", int_map s.counters);
       ( "cache",
         Json.Obj
           [ ( "levels",
@@ -130,29 +100,18 @@ let to_json s =
           [ ("loops", num s.ast.ast_loops);
             ("kernels", num s.ast.ast_kernels);
             ("nodes", num s.ast.ast_nodes)
-          ] )
+          ] );
+      ( "attribution",
+        Json.Arr
+          (List.map
+             (fun (name, r, w) ->
+               Json.Obj
+                 [ ("array", Json.Str name);
+                   ("read_bytes", num r);
+                   ("write_bytes", num w)
+                 ])
+             s.attribution) )
     ]
-  in
-  Json.Obj
-    (base
-    @ (match s.speedup with
-      | Some f -> [ ("speedup", Json.Num f) ]
-      | None -> [])
-    @
-    match s.attribution with
-    | Some rows ->
-        [ ( "attribution",
-            Json.Arr
-              (List.map
-                 (fun (name, r, w) ->
-                   Json.Obj
-                     [ ("array", Json.Str name);
-                       ("read_bytes", num r);
-                       ("write_bytes", num w)
-                     ])
-                 rows) )
-        ]
-    | None -> [])
 
 let to_string s = Json.to_string (to_json s)
 
@@ -166,76 +125,62 @@ let field name j =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing field %S" name)
 
-let as_str name = function
-  | Json.Str s -> Ok s
-  | _ -> Error (Printf.sprintf "field %S is not a string" name)
-
-let as_num name = function
-  | Json.Num f -> Ok f
+let as_int name = function
+  | Json.Num f -> Ok (int_of_float f)
   | _ -> Error (Printf.sprintf "field %S is not a number" name)
 
-let as_int name j =
-  let* f = as_num name j in
-  Ok (int_of_float f)
-
 let str_field name j =
-  let* v = field name j in
-  as_str name v
-
-let num_field name j =
-  let* v = field name j in
-  as_num name v
+  match field name j with
+  | Ok (Json.Str s) -> Ok s
+  | Ok _ -> Error (Printf.sprintf "field %S is not a string" name)
+  | Error _ as e -> e
 
 let int_field name j =
   let* v = field name j in
   as_int name v
 
+(* Parse each element with [f], keeping order. *)
+let map_result f l =
+  List.fold_left
+    (fun acc x ->
+      let* acc = acc in
+      let* y = f x in
+      Ok (y :: acc))
+    (Ok []) l
+  |> Result.map List.rev
+
+let int_map_field name j =
+  match field name j with
+  | Ok (Json.Obj fields) ->
+      map_result
+        (fun (k, v) ->
+          let* n = as_int k v in
+          Ok (k, n))
+        fields
+  | Ok _ -> Error (Printf.sprintf "field %S is not an object" name)
+  | Error _ as e -> e
+
+let arr_field name j =
+  match field name j with
+  | Ok (Json.Arr l) -> Ok l
+  | Ok _ -> Error (Printf.sprintf "field %S is not an array" name)
+  | Error _ as e -> e
+
 let of_json j =
   let* workload = str_field "workload" j in
   let* flow = str_field "flow" j in
-  let* compile_s = num_field "compile_s" j in
-  let* spans_j = field "spans" j in
-  let* spans =
-    match spans_j with
-    | Json.Obj fields ->
-        List.fold_left
-          (fun acc (name, v) ->
-            let* acc = acc in
-            let* calls = int_field "calls" v in
-            let* total_s = num_field "total_s" v in
-            Ok ({ sp_name = name; sp_calls = calls; sp_total_s = total_s } :: acc))
-          (Ok []) fields
-        |> Result.map List.rev
-    | _ -> Error "field \"spans\" is not an object"
-  in
-  let* counters_j = field "counters" j in
-  let* counters =
-    match counters_j with
-    | Json.Obj fields ->
-        List.fold_left
-          (fun acc (name, v) ->
-            let* acc = acc in
-            let* n = as_int name v in
-            Ok ((name, n) :: acc))
-          (Ok []) fields
-        |> Result.map List.rev
-    | _ -> Error "field \"counters\" is not an object"
-  in
+  let* span_calls = int_map_field "span_calls" j in
+  let* counters = int_map_field "counters" j in
   let* cache_j = field "cache" j in
-  let* levels_j = field "levels" cache_j in
+  let* levels_j = arr_field "levels" cache_j in
   let* cache_levels =
-    match levels_j with
-    | Json.Arr ls ->
-        List.fold_left
-          (fun acc l ->
-            let* acc = acc in
-            let* name = str_field "name" l in
-            let* hits = int_field "hits" l in
-            let* misses = int_field "misses" l in
-            Ok ({ cl_name = name; cl_hits = hits; cl_misses = misses } :: acc))
-          (Ok []) ls
-        |> Result.map List.rev
-    | _ -> Error "field \"cache.levels\" is not an array"
+    map_result
+      (fun l ->
+        let* name = str_field "name" l in
+        let* hits = int_field "hits" l in
+        let* misses = int_field "misses" l in
+        Ok { cl_name = name; cl_hits = hits; cl_misses = misses })
+      levels_j
   in
   let* dram_accesses = int_field "dram" cache_j in
   let* traffic_j = field "traffic" j in
@@ -246,33 +191,20 @@ let of_json j =
   let* loops = int_field "loops" ast_j in
   let* kernels = int_field "kernels" ast_j in
   let* nodes = int_field "nodes" ast_j in
-  let* speedup =
-    match Json.member "speedup" j with
-    | None | Some Json.Null -> Ok None
-    | Some v ->
-        let* f = as_num "speedup" v in
-        Ok (Some f)
-  in
+  let* attribution_j = arr_field "attribution" j in
   let* attribution =
-    match Json.member "attribution" j with
-    | None | Some Json.Null -> Ok None
-    | Some (Json.Arr rows) ->
-        List.fold_left
-          (fun acc r ->
-            let* acc = acc in
-            let* name = str_field "array" r in
-            let* rd = int_field "read_bytes" r in
-            let* wr = int_field "write_bytes" r in
-            Ok ((name, rd, wr) :: acc))
-          (Ok []) rows
-        |> Result.map (fun l -> Some (List.rev l))
-    | Some _ -> Error "field \"attribution\" is not an array"
+    map_result
+      (fun r ->
+        let* name = str_field "array" r in
+        let* rd = int_field "read_bytes" r in
+        let* wr = int_field "write_bytes" r in
+        Ok (name, rd, wr))
+      attribution_j
   in
   Ok
     { workload;
       flow;
-      compile_s;
-      spans;
+      span_calls;
       counters;
       cache_levels;
       dram_accesses;
@@ -282,7 +214,6 @@ let of_json j =
           tr_staged_bytes = staged_bytes
         };
       ast = { ast_loops = loops; ast_kernels = kernels; ast_nodes = nodes };
-      speedup;
       attribution
     }
 

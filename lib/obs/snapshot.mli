@@ -1,40 +1,17 @@
 (** Perf snapshots: one typed record per {e workload x flow}, with
-    versioned, dependency-free JSON (de)serialization.
+    dependency-free JSON (de)serialization.
 
-    A snapshot freezes the signals the regression gate compares:
-    compile wall time, per-pass span totals and call counts (from
-    {!Obs}), every obs counter, the simulated LRU cache hits/misses and
-    DRAM accesses, polyhedral footprint traffic volumes, and
-    generated-AST size statistics. Machine-model and AST numbers are
-    computed by the collector ([bench/main.exe snapshot]) and passed in;
-    only {!capture} reads live {!Obs} state, keeping this module at the
-    bottom of the dependency graph. *)
+    A snapshot is an exact fingerprint of the compiler: every field is
+    a deterministic count. It holds per-pass span call counts and every
+    obs counter (from {!Obs}), the simulated LRU cache hits/misses and
+    DRAM accesses, polyhedral footprint traffic volumes with their
+    per-array attribution, and generated-AST size statistics. Wall time
+    is not recorded; perf/ measures it. Machine-model and AST numbers
+    are computed by the collector ([bench/main.exe snapshot]) and
+    passed in; only {!capture} reads live {!Obs} state, keeping this
+    module at the bottom of the dependency graph. *)
 
-(** Minimal JSON values — parser and printer sufficient for the
-    snapshot schema. Floats print with [%.17g] so every finite double
-    round-trips exactly. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val to_string : t -> string
-
-  val parse : string -> (t, string) result
-
-  val member : string -> t -> t option
-  (** Field access on [Obj]; [None] on other constructors. *)
-end
-
-val schema_version : int
-(** Version of the snapshot JSON schema; bumped on incompatible field
-    changes. Stored at the {!Bench_db} file level. *)
-
-type span = { sp_name : string; sp_calls : int; sp_total_s : float }
+module Json = Json_util.Json
 
 type cache_level = { cl_name : string; cl_hits : int; cl_misses : int }
 
@@ -49,34 +26,25 @@ type ast_stats = { ast_loops : int; ast_kernels : int; ast_nodes : int }
 type t = {
   workload : string;
   flow : string;
-  compile_s : float;  (** wall-clock of the whole compilation flow *)
-  spans : span list;  (** per-pass totals, sorted by name *)
+  span_calls : (string * int) list;  (** per-pass call counts, sorted by name *)
   counters : (string * int) list;  (** all obs counters, sorted by name *)
   cache_levels : cache_level list;
   dram_accesses : int;
   traffic : traffic;
   ast : ast_stats;
-  speedup : float option;
-      (** parallel-runtime wall-clock speedup vs one worker (schema v2,
-          optional: [None] when the collector did not run the parallel
-          runtime, and for every v1 file) *)
-  attribution : (string * int * int) list option;
-      (** per-array [(name, read_bytes, write_bytes)] polyhedral traffic
-          (schema v3, optional); components sum to [traffic] exactly.
-          [None] for the naive flow and for pre-v3 files. *)
+  attribution : (string * int * int) list;
+      (** per-array [(name, read_bytes, write_bytes)] polyhedral
+          traffic; components sum to [traffic] exactly *)
 }
 
 val capture :
-  ?speedup:float ->
-  ?attribution:(string * int * int) list ->
   workload:string ->
   flow:string ->
-  compile_s:float ->
   cache_levels:cache_level list ->
   dram_accesses:int ->
   traffic:traffic ->
   ast:ast_stats ->
-  unit ->
+  attribution:(string * int * int) list ->
   t
 (** Build a snapshot from the current {!Obs} state (spans and counters
     recorded since the last [Obs.reset]) plus the supplied machine-model

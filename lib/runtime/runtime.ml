@@ -31,9 +31,6 @@ let run ?(jobs = 1) ?(race_check = false) ?max_tiles ?split_depth
   Obs.add "runtime.steals" metrics.Executor.m_steals;
   Obs.add "runtime.race_violations" (List.length metrics.Executor.m_violations);
   Obs.add "runtime.workers" jobs;
-  Obs.add "runtime.busy_us"
-    (int_of_float
-       (1e6 *. Array.fold_left ( +. ) 0.0 metrics.Executor.m_busy_s));
   Array.iter
     (fun b -> Obs.observe "runtime.worker_busy_us" (1e6 *. b))
     metrics.Executor.m_busy_s;

@@ -239,11 +239,8 @@ let of_json j =
 let load path =
   if not (Sys.file_exists path) then Ok empty
   else
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+    let* text =
+      Result.map_error (fun msg -> "tune_db " ^ msg) (read_file path)
     in
     if String.trim text = "" then Ok empty
     else
@@ -255,9 +252,4 @@ let load path =
       of_json j
 
 let save path (db : t) =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_json db));
-      output_char oc '\n')
+  Result.map_error (fun msg -> "tune_db " ^ msg) (write_json path (to_json db))

@@ -51,9 +51,11 @@ val entries : t -> entry list
 
 val load : string -> (t, string) result
 (** Read a database file. A missing or empty file is an empty
-    database; a malformed or wrong-schema file is an [Error]. *)
+    database; an unreadable, malformed or wrong-schema file is an
+    [Error]. *)
 
-val save : string -> t -> unit
+val save : string -> t -> (unit, string) result
+(** [Error] names the path when the file cannot be written. *)
 
 val entry_to_json : entry -> Json_util.Json.t
 

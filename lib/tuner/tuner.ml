@@ -244,14 +244,18 @@ let tune ?(strategy = Greedy) ?(budget = 48) ?(jobs = 1) ?(seed = 0) ?space
                   ("evaluated", I acc.evaluated);
                   ("illegal", I acc.illegal)
                 ];
-              (match db_path with
-              | Some path -> Tune_db.save path (Tune_db.add db entry)
-              | None -> ());
-              Ok
-                { r_entry = entry;
-                  r_cached = false;
-                  r_space = List.length cands
-                }))
+              let saved =
+                match db_path with
+                | Some path -> Tune_db.save path (Tune_db.add db entry)
+                | None -> Ok ()
+              in
+              Result.map
+                (fun () ->
+                  { r_entry = entry;
+                    r_cached = false;
+                    r_space = List.length cands
+                  })
+                saved))
 
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)

@@ -41,8 +41,9 @@ val tune :
     seed 0, space derived by {!Search_space.make}, no database, CPU
     target. With [db_path], a stored entry under the same
     content-addressed key answers instantly unless [force] re-tunes
-    (the fresh entry then replaces the stored one). [Error] only when
-    the default configuration itself fails to compile or verify. *)
+    (the fresh entry then replaces the stored one). [Error] when the
+    database cannot be read or written, or when the default
+    configuration itself fails to compile or verify. *)
 
 val report_markdown : result -> string
 (** Human-readable tuning report: chosen vs default configuration,

@@ -1,7 +1,7 @@
 (* Tests for the perf-snapshot subsystem (lib/obs/snapshot.ml,
    lib/obs/bench_db.ml): JSON round-trips, capture from live obs state,
-   diff classification at/under/over the thresholds, and the exit-code
-   contract of the regression gate. *)
+   exact diff classification, and the exit-code contract of the
+   regression gate. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -11,18 +11,10 @@ let int = Alcotest.int
 (* Fixtures                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let sample_snapshot ?(workload = "conv2d") ?(flow = "ours")
-    ?(compile_s = 0.123456789012345) ?(fm = 321) () =
+let sample_snapshot ?(workload = "conv2d") ?(flow = "ours") ?(fm = 321) () =
   { Snapshot.workload;
     flow;
-    compile_s;
-    spans =
-      [ { Snapshot.sp_name = "pipeline.compile"; sp_calls = 1; sp_total_s = 0.1 };
-        { Snapshot.sp_name = "tile_shapes.construct";
-          sp_calls = 3;
-          sp_total_s = 0.025
-        }
-      ];
+    span_calls = [ ("pipeline.compile", 1); ("tile_shapes.construct", 3) ];
     counters = [ ("bmap.apply_range", 17); ("fm.eliminate", fm) ];
     cache_levels =
       [ { Snapshot.cl_name = "L1"; cl_hits = 1000; cl_misses = 20 };
@@ -35,8 +27,7 @@ let sample_snapshot ?(workload = "conv2d") ?(flow = "ours")
         tr_staged_bytes = 256
       };
     ast = { Snapshot.ast_loops = 10; ast_kernels = 2; ast_nodes = 18 };
-    speedup = None;
-    attribution = None
+    attribution = [ ("B", 4096, 0); ("C", 0, 784) ]
   }
 
 let sample_db ?label ?(snapshots = [ sample_snapshot () ]) () =
@@ -87,7 +78,7 @@ let test_db_roundtrip_via_file () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Bench_db.save path db;
+      check bool "save succeeds" true (Bench_db.save path db = Ok ());
       match Bench_db.load path with
       | Ok db' ->
           check bool "label" true (db'.Bench_db.label = "test");
@@ -95,20 +86,32 @@ let test_db_roundtrip_via_file () =
             (db'.Bench_db.snapshots = db.Bench_db.snapshots)
       | Error msg -> Alcotest.failf "load failed: %s" msg)
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
+(* Only the current schema loads: a newer file and an older one (schema
+   2, which carried wall times) are both refused, naming both versions. *)
 let test_db_schema_version_check () =
-  let path = Filename.temp_file "bench_db_test" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "{\"schema_version\":99,\"label\":\"x\",\"snapshots\":[]}";
-      close_out oc;
-      match Bench_db.load path with
-      | Ok _ -> Alcotest.fail "expected a schema-version error"
-      | Error msg ->
-          check bool "mentions the version" true
-            (String.length msg > 0
-            && String.exists (fun c -> c = '9') msg))
+  List.iter
+    (fun version ->
+      let path = Filename.temp_file "bench_db_test" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let oc = open_out path in
+          Printf.fprintf oc
+            "{\"schema_version\":%d,\"label\":\"x\",\"snapshots\":[]}" version;
+          close_out oc;
+          match Bench_db.load path with
+          | Ok _ -> Alcotest.failf "expected schema %d to be refused" version
+          | Error msg ->
+              check bool "names the file's version" true
+                (contains msg (Printf.sprintf "schema_version %d" version));
+              check bool "names the supported version" true
+                (contains msg (string_of_int Bench_db.schema_version))))
+    [ 99; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Capture from live obs state                                         *)
@@ -121,44 +124,22 @@ let test_capture_reads_obs () =
   Obs.count "ctr.x";
   Obs.add "ctr.x" 4;
   let s =
-    Snapshot.capture ~workload:"w" ~flow:"f" ~compile_s:0.5 ~cache_levels:[]
+    Snapshot.capture ~workload:"w" ~flow:"f" ~cache_levels:[]
       ~dram_accesses:0
       ~traffic:
         { Snapshot.tr_read_bytes = 0; tr_write_bytes = 0; tr_staged_bytes = 0 }
       ~ast:{ Snapshot.ast_loops = 0; ast_kernels = 0; ast_nodes = 1 }
-      ()
+      ~attribution:[]
   in
   Obs.disable ();
-  check bool "span captured" true
-    (List.exists
-       (fun sp -> sp.Snapshot.sp_name = "pass.alpha" && sp.Snapshot.sp_calls = 1)
-       s.Snapshot.spans);
+  check bool "span calls captured" true
+    (List.assoc_opt "pass.alpha" s.Snapshot.span_calls = Some 1);
   check bool "counter captured" true
     (List.assoc_opt "ctr.x" s.Snapshot.counters = Some 5)
 
 (* ------------------------------------------------------------------ *)
 (* Classification                                                      *)
 (* ------------------------------------------------------------------ *)
-
-let th = { Bench_db.max_time_ratio = 2.0; time_floor_s = 0.1 }
-
-let test_classify_time () =
-  let open Bench_db in
-  (* both under the floor: jitter never gates *)
-  check bool "sub-floor noise" true
-    (classify_time th ~base:0.001 ~cand:0.09 = Unchanged);
-  (* exactly at the ratio: not yet a regression (strict >) *)
-  check bool "at threshold" true
-    (classify_time th ~base:1.0 ~cand:2.0 = Unchanged);
-  check bool "over threshold" true
-    (classify_time th ~base:1.0 ~cand:2.01 = Regressed);
-  check bool "under 1/ratio" true
-    (classify_time th ~base:2.01 ~cand:1.0 = Improved);
-  (* base below floor is clamped: cand must beat floor * ratio *)
-  check bool "floor clamps the base" true
-    (classify_time th ~base:0.0 ~cand:0.19 = Unchanged);
-  check bool "floor-clamped regression" true
-    (classify_time th ~base:0.0 ~cand:0.21 = Regressed)
 
 let test_classify_counter () =
   let open Bench_db in
@@ -174,28 +155,15 @@ let test_classify_counter () =
 
 let test_diff_unchanged () =
   let base = sample_db () and cand = sample_db () in
-  let deltas = Bench_db.diff ~thresholds:th ~base ~cand () in
+  let deltas = Bench_db.diff ~base ~cand in
   check bool "no deltas classified non-unchanged" true
     (List.for_all (fun d -> d.Bench_db.d_class = Bench_db.Unchanged) deltas);
   check int "gate passes" 0 (Bench_db.gate deltas)
 
-let test_diff_inflated_time () =
-  let base = sample_db () in
-  let cand = sample_db ~snapshots:[ sample_snapshot ~compile_s:30.0 () ] () in
-  let deltas = Bench_db.diff ~thresholds:th ~base ~cand () in
-  let regressed = Bench_db.regressions deltas in
-  check int "exactly the inflated metric regresses" 1 (List.length regressed);
-  (match regressed with
-  | [ d ] ->
-      check bool "metric name" true (d.Bench_db.d_metric = "compile_s");
-      check bool "kind" true (d.Bench_db.d_kind = Bench_db.Time)
-  | _ -> Alcotest.fail "expected one regression");
-  check int "gate fails (exit 1)" 1 (Bench_db.gate deltas)
-
 let test_diff_counter_drift () =
   let base = sample_db () in
   let cand = sample_db ~snapshots:[ sample_snapshot ~fm:322 () ] () in
-  let deltas = Bench_db.diff ~thresholds:th ~base ~cand () in
+  let deltas = Bench_db.diff ~base ~cand in
   let regressed = Bench_db.regressions deltas in
   check bool "counter drift regresses exactly" true
     (List.map (fun d -> d.Bench_db.d_metric) regressed
@@ -207,7 +175,7 @@ let test_diff_missing_pair () =
     sample_db ~snapshots:[ sample_snapshot (); sample_snapshot ~flow:"smartfuse" () ] ()
   in
   let cand = sample_db ~snapshots:[ sample_snapshot () ] () in
-  let deltas = Bench_db.diff ~thresholds:th ~base ~cand () in
+  let deltas = Bench_db.diff ~base ~cand in
   let regressed = Bench_db.regressions deltas in
   check bool "vanished workload x flow regresses" true
     (List.exists
@@ -222,7 +190,7 @@ let test_diff_added_is_not_regression () =
   let cand =
     sample_db ~snapshots:[ sample_snapshot (); sample_snapshot ~workload:"new_wl" () ] ()
   in
-  let deltas = Bench_db.diff ~thresholds:th ~base ~cand () in
+  let deltas = Bench_db.diff ~base ~cand in
   check bool "new pair reported as added" true
     (List.exists
        (fun d ->
@@ -233,7 +201,7 @@ let test_diff_added_is_not_regression () =
 (* Missing-metric direction: a counter present in the base but absent
    from the candidate is reported as removed AND gates (lost coverage
    must not silently pass); a metric only in the candidate is added and
-   never gates; a noisy metric (speedup) may vanish freely. *)
+   never gates. *)
 let test_diff_removed_metric_gates () =
   let base_snap = sample_snapshot () in
   let cand_snap =
@@ -243,7 +211,7 @@ let test_diff_removed_metric_gates () =
   in
   let base = sample_db ~snapshots:[ base_snap ] () in
   let cand = sample_db ~snapshots:[ cand_snap ] () in
-  let deltas = Bench_db.diff ~thresholds:th ~base ~cand () in
+  let deltas = Bench_db.diff ~base ~cand in
   let removed =
     List.filter (fun d -> d.Bench_db.d_class = Bench_db.Removed) deltas
   in
@@ -256,21 +224,6 @@ let test_diff_removed_metric_gates () =
        (Bench_db.regressions deltas));
   check int "gate fails on silently lost coverage" 1 (Bench_db.gate deltas)
 
-let test_diff_removed_noisy_passes () =
-  let base_snap = { (sample_snapshot ()) with Snapshot.speedup = Some 1.7 } in
-  let cand_snap = sample_snapshot () in
-  let base = sample_db ~snapshots:[ base_snap ] () in
-  let cand = sample_db ~snapshots:[ cand_snap ] () in
-  let deltas = Bench_db.diff ~thresholds:th ~base ~cand () in
-  check bool "speedup removal reported" true
-    (List.exists
-       (fun d ->
-         d.Bench_db.d_metric = "speedup"
-         && d.Bench_db.d_class = Bench_db.Removed
-         && d.Bench_db.d_kind = Bench_db.Noisy)
-       deltas);
-  check int "noisy removal never gates" 0 (Bench_db.gate deltas)
-
 let test_diff_added_metric_passes () =
   let base_snap = sample_snapshot () in
   let cand_snap =
@@ -280,7 +233,7 @@ let test_diff_added_metric_passes () =
   in
   let base = sample_db ~snapshots:[ base_snap ] () in
   let cand = sample_db ~snapshots:[ cand_snap ] () in
-  let deltas = Bench_db.diff ~thresholds:th ~base ~cand () in
+  let deltas = Bench_db.diff ~base ~cand in
   check bool "new metric reported as added" true
     (List.exists
        (fun d ->
@@ -293,25 +246,20 @@ let test_diff_added_metric_passes () =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
-
 let test_summary_table () =
   let base = sample_db () in
-  let cand = sample_db ~snapshots:[ sample_snapshot ~compile_s:30.0 () ] () in
-  let deltas = Bench_db.diff ~thresholds:th ~base ~cand () in
+  let cand = sample_db ~snapshots:[ sample_snapshot ~fm:322 () ] () in
+  let deltas = Bench_db.diff ~base ~cand in
   let table = Bench_db.summary_table deltas in
-  check bool "names the metric" true (contains table "compile_s");
+  check bool "names the metric" true (contains table "counter.fm.eliminate");
   check bool "marks the regression" true (contains table "REGRESSED");
   check bool "summary counts" true (contains table "1 regressed")
 
 let test_deltas_json_wellformed () =
   let base = sample_db () in
-  let cand = sample_db ~snapshots:[ sample_snapshot ~compile_s:30.0 () ] () in
-  let deltas = Bench_db.diff ~thresholds:th ~base ~cand () in
-  match Snapshot.Json.parse (Bench_db.deltas_json ~thresholds:th deltas) with
+  let cand = sample_db ~snapshots:[ sample_snapshot ~fm:322 () ] () in
+  let deltas = Bench_db.diff ~base ~cand in
+  match Snapshot.Json.parse (Bench_db.deltas_json deltas) with
   | Error msg -> Alcotest.failf "deltas JSON invalid: %s" msg
   | Ok j -> (
       match Snapshot.Json.member "summary" j with
@@ -338,20 +286,15 @@ let () =
             test_db_schema_version_check
         ] );
       ( "classify",
-        [ Alcotest.test_case "time thresholds" `Quick test_classify_time;
-          Alcotest.test_case "counters exact" `Quick test_classify_counter
-        ] );
+        [ Alcotest.test_case "counters exact" `Quick test_classify_counter ] );
       ( "diff",
         [ Alcotest.test_case "unchanged tree passes" `Quick test_diff_unchanged;
-          Alcotest.test_case "inflated time gates" `Quick test_diff_inflated_time;
           Alcotest.test_case "counter drift gates" `Quick test_diff_counter_drift;
           Alcotest.test_case "missing pair gates" `Quick test_diff_missing_pair;
           Alcotest.test_case "added pair passes" `Quick
             test_diff_added_is_not_regression;
           Alcotest.test_case "removed metric gates" `Quick
             test_diff_removed_metric_gates;
-          Alcotest.test_case "removed noisy metric passes" `Quick
-            test_diff_removed_noisy_passes;
           Alcotest.test_case "added metric passes" `Quick
             test_diff_added_metric_passes
         ] );
