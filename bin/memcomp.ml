@@ -88,8 +88,9 @@ let trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write a Chrome trace_event JSON file of the nested compiler-phase \
-           spans (load in about://tracing or Perfetto). The MEMCOMP_TRACE \
-           environment variable is used as a fallback destination.")
+           spans and the compiler's decision events (load in about://tracing \
+           or Perfetto). The MEMCOMP_TRACE environment variable is used as a \
+           fallback destination.")
 
 let obs_begin ?(json = false) ~stats ~trace () =
   let trace =
@@ -330,10 +331,10 @@ let explain_cmd =
                 machine-readable; --stats tables go to stderr).")
   in
   let run workload tile small flow jobs json stats trace =
-    (* the event log needs Obs enabled regardless of --stats/--trace *)
-    let finish = obs_begin ~json ~stats ~trace:None () in
+    let finish = obs_begin ~json ~stats ~trace () in
     let prog = prog_of workload small in
     let jobs = resolve_jobs jobs in
+    (* collect enables Obs itself: the report is built from its events *)
     let ex =
       Explain.collect ~tile ~jobs ~workload
         ~make:(fun p -> version_of flow ~tile p)
@@ -341,15 +342,6 @@ let explain_cmd =
     in
     if json then print_endline (Explain.to_json_string ex)
     else print_string (Explain.to_markdown ex);
-    (* --trace here writes the merged trace: compiler spans + structured
-       decision/timeline events *)
-    (match trace with
-    | Some file -> (
-        match Events.write_chrome_trace file with
-        | () -> Printf.eprintf "merged trace written to %s\n%!" file
-        | exception Sys_error msg ->
-            Printf.eprintf "warning: could not write trace: %s\n%!" msg)
-    | None -> ());
     finish ()
   in
   Cmd.v

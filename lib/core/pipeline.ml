@@ -39,16 +39,16 @@ let emit_tile_shape_trace p spaces tile_sizes_for =
           let candidate label scale =
             let sizes = Array.map (fun v -> max 1 (scale v)) chosen in
             let points = Array.fold_left ( * ) 1 sizes in
-            Events.emit ~cat:"tiling" "tile_shape.candidate"
-              [ ("space", Events.I s.Spaces.id);
-                ("which", Events.S label);
+            Obs.event ~cat:"tiling" "tile_shape.candidate"
+              [ ("space", Obs.I s.Spaces.id);
+                ("which", Obs.S label);
                 ( "sizes",
-                  Events.S
+                  Obs.S
                     (String.concat "x"
                        (List.map string_of_int (Array.to_list sizes))) );
-                ("points_per_tile", Events.I points);
-                ("est_bytes_per_tile", Events.I (points * 4 * List.length arrays));
-                ("chosen", Events.B (label = "configured"))
+                ("points_per_tile", Obs.I points);
+                ("est_bytes_per_tile", Obs.I (points * 4 * List.length arrays));
+                ("chosen", Obs.B (label = "configured"))
               ]
           in
           candidate "halved" (fun v -> v / 2);

@@ -57,10 +57,10 @@ let plan ?(fusable = fun (_ : Spaces.t) -> true) ?recompute_limit (p : Prog.t)
     processed_roots := !processed_roots @ [ s.Spaces.id ];
     if not (tilable s ~parallelism_cap) then begin
       Obs.count "post_tiling.standalone";
-      Events.emit ~cat:"post_tiling" "post_tiling.standalone"
-        [ ("space", Events.I s.Spaces.id);
-          ("stmts", Events.S (String.concat "+" s.Spaces.group.Fusion.stmts));
-          ("reason", Events.S "untilable")
+      Obs.event ~cat:"post_tiling" "post_tiling.standalone"
+        [ ("space", Obs.I s.Spaces.id);
+          ("stmts", Obs.S (String.concat "+" s.Spaces.group.Fusion.stmts));
+          ("reason", Obs.S "untilable")
         ];
       standalone := !standalone @ [ s.Spaces.id ]
     end
@@ -237,10 +237,10 @@ let plan ?(fusable = fun (_ : Spaces.t) -> true) ?recompute_limit (p : Prog.t)
     in
     match offender with
     | Some (id, predicate, root_ids) ->
-        Events.emit ~cat:"post_tiling" "post_tiling.unfuse"
-          [ ("space", Events.I id);
-            ("failed_predicate", Events.S predicate);
-            ("roots", Events.S (String.concat "+" (List.map string_of_int root_ids)))
+        Obs.event ~cat:"post_tiling" "post_tiling.unfuse"
+          [ ("space", Obs.I id);
+            ("failed_predicate", Obs.S predicate);
+            ("roots", Obs.S (String.concat "+" (List.map string_of_int root_ids)))
           ];
         unfuse_everywhere id;
         fixpoint ()
@@ -276,9 +276,9 @@ let plan ?(fusable = fun (_ : Spaces.t) -> true) ?recompute_limit (p : Prog.t)
               unclaimed
         | _ :: _ ->
             Obs.add "post_tiling.promotions" (List.length promotable);
-            Events.emit ~cat:"post_tiling" "post_tiling.promote"
+            Obs.event ~cat:"post_tiling" "post_tiling.promote"
               [ ( "spaces",
-                  Events.S
+                  Obs.S
                     (String.concat "+"
                        (List.map
                           (fun (s : Spaces.t) -> string_of_int s.Spaces.id)

@@ -160,13 +160,13 @@ let construct ?(recompute_limit = 4.0) (p : Prog.t) ~(liveout : Spaces.t)
           (* the m > n guard: fusing would destroy the live-out space's
              parallelism; reject (line 8). *)
           Obs.count "tile_shapes.parallelism_reject";
-          Events.emit ~cat:"tiling" "tile_shapes.reject"
-            [ ("liveout", Events.I liveout.Spaces.id);
-              ("space", Events.I space.Spaces.id);
-              ("stmts", Events.S (String.concat "+" space.Spaces.group.Fusion.stmts));
-              ("reason", Events.S "parallelism");
-              ("liveout_parallel", Events.I m);
-              ("space_parallel", Events.I n)
+          Obs.event ~cat:"tiling" "tile_shapes.reject"
+            [ ("liveout", Obs.I liveout.Spaces.id);
+              ("space", Obs.I space.Spaces.id);
+              ("stmts", Obs.S (String.concat "+" space.Spaces.group.Fusion.stmts));
+              ("reason", Obs.S "parallelism");
+              ("liveout_parallel", Obs.I m);
+              ("space_parallel", Obs.I n)
             ];
           loop fmap pending extensions (space.Spaces.id :: untiled)
         end
@@ -230,11 +230,11 @@ let construct ?(recompute_limit = 4.0) (p : Prog.t) ~(liveout : Spaces.t)
                        nest together with its exclusive producers (the
                        paper's equake case). *)
                     Obs.count "tile_shapes.guard_blocked";
-                    Events.emit ~cat:"tiling" "tile_shapes.reject"
-                      [ ("liveout", Events.I liveout.Spaces.id);
-                        ("space", Events.I space.Spaces.id);
-                        ("stmt", Events.S name);
-                        ("reason", Events.S "dynamic_guard")
+                    Obs.event ~cat:"tiling" "tile_shapes.reject"
+                      [ ("liveout", Obs.I liveout.Spaces.id);
+                        ("space", Obs.I space.Spaces.id);
+                        ("stmt", Obs.S name);
+                        ("reason", Obs.S "dynamic_guard")
                       ];
                     stmt_loop fmap
                       (List.filter (fun s -> s <> name) remaining)
@@ -255,13 +255,13 @@ let construct ?(recompute_limit = 4.0) (p : Prog.t) ~(liveout : Spaces.t)
                       (* fusing this statement would recompute it nearly
                          wholesale in every tile: reject (cost model) *)
                       Obs.count "tile_shapes.recompute_reject";
-                      Events.emit ~cat:"tiling" "tile_shapes.reject"
-                        [ ("liveout", Events.I liveout.Spaces.id);
-                          ("space", Events.I space.Spaces.id);
-                          ("stmt", Events.S name);
-                          ("reason", Events.S "recompute_cost");
-                          ("ratio", Events.F ratio);
-                          ("limit", Events.F recompute_limit)
+                      Obs.event ~cat:"tiling" "tile_shapes.reject"
+                        [ ("liveout", Obs.I liveout.Spaces.id);
+                          ("space", Obs.I space.Spaces.id);
+                          ("stmt", Obs.S name);
+                          ("reason", Obs.S "recompute_cost");
+                          ("ratio", Obs.F ratio);
+                          ("limit", Obs.F recompute_limit)
                         ];
                       stmt_loop fmap
                         (List.filter (fun s -> s <> name) remaining)
@@ -303,21 +303,21 @@ let construct ?(recompute_limit = 4.0) (p : Prog.t) ~(liveout : Spaces.t)
           in
           if ext_pieces = [] then begin
             Obs.count "tile_shapes.untiled";
-            Events.emit ~cat:"tiling" "tile_shapes.reject"
-              [ ("liveout", Events.I liveout.Spaces.id);
-                ("space", Events.I space.Spaces.id);
-                ("stmts", Events.S (String.concat "+" space.Spaces.group.Fusion.stmts));
-                ("reason", Events.S "no_extension_schedule")
+            Obs.event ~cat:"tiling" "tile_shapes.reject"
+              [ ("liveout", Obs.I liveout.Spaces.id);
+                ("space", Obs.I space.Spaces.id);
+                ("stmts", Obs.S (String.concat "+" space.Spaces.group.Fusion.stmts));
+                ("reason", Obs.S "no_extension_schedule")
               ];
             loop fmap pending extensions (space.Spaces.id :: untiled)
           end
           else begin
             Obs.count "tile_shapes.extensions";
-            Events.emit ~cat:"tiling" "tile_shapes.extend"
-              [ ("liveout", Events.I liveout.Spaces.id);
-                ("space", Events.I space.Spaces.id);
-                ("stmts", Events.S (String.concat "+" space.Spaces.group.Fusion.stmts));
-                ("via", Events.S (String.concat "+" via_arrays))
+            Obs.event ~cat:"tiling" "tile_shapes.extend"
+              [ ("liveout", Obs.I liveout.Spaces.id);
+                ("space", Obs.I space.Spaces.id);
+                ("stmts", Obs.S (String.concat "+" space.Spaces.group.Fusion.stmts));
+                ("via", Obs.S (String.concat "+" via_arrays))
               ];
             let ext_rel = Imap.coalesce (Imap.of_bmaps ext_pieces) in
             let extension =

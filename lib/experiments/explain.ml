@@ -6,7 +6,7 @@ type t = {
   ex_tile : int;
   ex_jobs : int;
   ex_compile_s : float;
-  ex_events : Events.t list;
+  ex_events : Obs.event list;
   ex_attribution : (string * Footprints.traffic) list option;
   ex_traffic : Footprints.traffic option;
   ex_prof : Memprof.t;
@@ -16,7 +16,6 @@ type t = {
 
 let collect ?(tile = 32) ?(jobs = 1) ~workload ~make prog =
   Obs.reset ();
-  Events.reset ();
   Obs.enable ();
   let v = make prog in
   (* measured attribution: profile the compiled AST through the
@@ -45,7 +44,7 @@ let collect ?(tile = 32) ?(jobs = 1) ~workload ~make prog =
     ex_tile = tile;
     ex_jobs = jobs;
     ex_compile_s = v.Exp_util.compile_s;
-    ex_events = Events.recorded ();
+    ex_events = Obs.events ();
     ex_attribution = attribution;
     ex_traffic = traffic;
     ex_prof = prof;
@@ -67,15 +66,15 @@ let md_table buf ~header rows =
   Buffer.add_char buf '\n'
 
 let arg_str e key =
-  match Events.find e key with Some v -> Events.value_to_string v | None -> ""
+  match Obs.arg e key with Some v -> Json_util.value_to_string v | None -> ""
 
 let rest_args e skip =
-  e.Events.args
+  e.Obs.args
   |> List.filter (fun (k, _) -> not (List.mem k skip))
-  |> List.map (fun (k, v) -> Printf.sprintf "%s=%s" k (Events.value_to_string v))
+  |> List.map (fun (k, v) -> Printf.sprintf "%s=%s" k (Json_util.value_to_string v))
   |> String.concat ", "
 
-let cat_events t cat = List.filter (fun e -> e.Events.cat = cat) t.ex_events
+let cat_events t cat = List.filter (fun e -> e.Obs.cat = cat) t.ex_events
 
 let bucket_label b =
   let lo, hi = Memprof.bucket_bounds b in
@@ -86,7 +85,7 @@ let to_markdown t =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pf "# explain: %s (flow %s, tile %d)\n\n" t.ex_workload t.ex_flow t.ex_tile;
   pf "compiled in %.3f s; %d structured events recorded (%d dropped)\n\n"
-    t.ex_compile_s (Events.emitted ()) (Events.dropped ());
+    t.ex_compile_s (Obs.events_emitted ()) (Obs.events_dropped ());
 
   pf "## Fusion decisions\n\n";
   (match cat_events t "fusion" with
@@ -95,7 +94,7 @@ let to_markdown t =
       md_table buf ~header:[ "verdict"; "prev"; "next"; "reason"; "detail" ]
         (List.map
            (fun e ->
-             [ (if e.Events.name = "fusion.accept" then "accept" else "reject");
+             [ (if e.Obs.name = "fusion.accept" then "accept" else "reject");
                arg_str e "prev"; arg_str e "next"; arg_str e "reason";
                rest_args e [ "heuristic"; "prev"; "next"; "reason" ]
              ])
@@ -103,7 +102,7 @@ let to_markdown t =
 
   pf "## Tile-shape choice\n\n";
   let tiling = cat_events t "tiling" in
-  (match List.filter (fun e -> e.Events.name = "tile_shape.candidate") tiling with
+  (match List.filter (fun e -> e.Obs.name = "tile_shape.candidate") tiling with
   | [] -> pf "(no candidates recorded)\n\n"
   | cands ->
       md_table buf
@@ -117,13 +116,13 @@ let to_markdown t =
                (if arg_str e "chosen" = "true" then "yes" else "") ])
            cands));
   (match
-     List.filter (fun e -> e.Events.name <> "tile_shape.candidate") tiling
+     List.filter (fun e -> e.Obs.name <> "tile_shape.candidate") tiling
    with
   | [] -> ()
   | es ->
       pf "extension-schedule decisions:\n\n";
       List.iter
-        (fun e -> pf "- %s: %s\n" e.Events.name (rest_args e []))
+        (fun e -> pf "- %s: %s\n" e.Obs.name (rest_args e []))
         es;
       pf "\n");
 
@@ -131,7 +130,7 @@ let to_markdown t =
   (match cat_events t "post_tiling" with
   | [] -> pf "(none)\n\n"
   | es ->
-      List.iter (fun e -> pf "- %s: %s\n" e.Events.name (rest_args e [])) es;
+      List.iter (fun e -> pf "- %s: %s\n" e.Obs.name (rest_args e [])) es;
       pf "\n");
 
   pf "## Per-array traffic attribution\n\n";
@@ -203,19 +202,19 @@ let to_markdown t =
 (* --- JSON ------------------------------------------------------------ *)
 
 let json_of_value = function
-  | Events.S s -> Snapshot.Json.Str s
-  | Events.I i -> Snapshot.Json.Num (float_of_int i)
-  | Events.F f -> Snapshot.Json.Num f
-  | Events.B b -> Snapshot.Json.Bool b
+  | Obs.S s -> Snapshot.Json.Str s
+  | Obs.I i -> Snapshot.Json.Num (float_of_int i)
+  | Obs.F f -> Snapshot.Json.Num f
+  | Obs.B b -> Snapshot.Json.Bool b
 
-let json_of_event (e : Events.t) =
+let json_of_event (e : Obs.event) =
   Snapshot.Json.Obj
-    [ ("seq", Snapshot.Json.Num (float_of_int e.Events.seq));
-      ("ts", Snapshot.Json.Num e.Events.ts_s);
-      ("dur", Snapshot.Json.Num e.Events.dur_s);
-      ("cat", Snapshot.Json.Str e.Events.cat);
-      ("name", Snapshot.Json.Str e.Events.name);
-      ("args", Snapshot.Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) e.Events.args))
+    [ ("seq", Snapshot.Json.Num (float_of_int e.Obs.seq));
+      ("ts", Snapshot.Json.Num e.Obs.ts_s);
+      ("dur", Snapshot.Json.Num e.Obs.dur_s);
+      ("cat", Snapshot.Json.Str e.Obs.cat);
+      ("name", Snapshot.Json.Str e.Obs.name);
+      ("args", Snapshot.Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) e.Obs.args))
     ]
 
 let json_of_row (name, (r : Memprof.row)) =

@@ -1,8 +1,8 @@
 (** [memcomp explain]: one-stop report tying the scheduler's decision
     trace to measured memory-hierarchy behavior.
 
-    {!collect} compiles a workload with the structured event log
-    enabled (fusion accept/reject, tile-shape candidates, post-tiling
+    {!collect} compiles a workload with [Obs] decision events enabled
+    (fusion accept/reject, tile-shape candidates, post-tiling
     rewrites), profiles the compiled AST through the sequential
     interpreter with the {!Memprof} hook (reuse-distance histograms,
     per-array / per-statement attribution), computes the polyhedral
@@ -16,7 +16,7 @@ type t = {
   ex_tile : int;
   ex_jobs : int;
   ex_compile_s : float;
-  ex_events : Events.t list;
+  ex_events : Obs.event list;
       (** every structured event recorded during collection, oldest
           first: compile-time decisions plus runtime.tile samples *)
   ex_attribution : (string * Footprints.traffic) list option;
@@ -35,9 +35,9 @@ val collect :
   make:(Prog.t -> Exp_util.version) ->
   Prog.t ->
   t
-(** Resets and enables [Obs] and [Events], then compiles, profiles and
-    executes. [make] builds the version under [Obs] instrumentation
-    (e.g. [Exp_util.ours ~tile ~target:Cpu]). *)
+(** Resets and enables [Obs], then compiles, profiles and executes.
+    [make] builds the version under [Obs] instrumentation (e.g.
+    [Exp_util.ours ~tile ~target:Cpu]). *)
 
 val to_markdown : t -> string
 

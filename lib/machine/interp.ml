@@ -54,7 +54,6 @@ type stats = {
   mutable ops : int;
   mutable reads : int;
   mutable writes : int;
-  per_stmt : (string, int) Hashtbl.t;
   per_kernel_ops : (int, int) Hashtbl.t;
 }
 
@@ -99,7 +98,6 @@ let executor ?hook (p : Prog.t) mem =
       ops = 0;
       reads = 0;
       writes = 0;
-      per_stmt = Hashtbl.create 8;
       per_kernel_ops = Hashtbl.create 8
     }
   in
@@ -124,8 +122,6 @@ let executor ?hook (p : Prog.t) mem =
     let proceed = match stmt.Prog.guard with Some g -> g inst | None -> true in
     if proceed then begin
       stats.instances <- stats.instances + 1;
-      Hashtbl.replace stats.per_stmt name
-        (1 + Option.value ~default:0 (Hashtbl.find_opt stats.per_stmt name));
       let read_value (a : Prog.access) =
         let s = store mem a.Prog.array in
         let idxs =

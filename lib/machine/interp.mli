@@ -25,7 +25,6 @@ type stats = {
   mutable ops : int;  (** arithmetic operations *)
   mutable reads : int;
   mutable writes : int;
-  per_stmt : (string, int) Hashtbl.t;
   per_kernel_ops : (int, int) Hashtbl.t;
 }
 

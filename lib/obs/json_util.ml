@@ -1,7 +1,7 @@
 (* Shared JSON primitives for the observability layer.
 
-   One escaper for every JSON producer in the tree (Obs exporters,
-   Events JSONL, Snapshot files, tuning reports), one typed payload
+   One escaper for every JSON producer in the tree (the Obs Chrome
+   trace, Snapshot files, tuning reports), one typed payload
    value, the minimal JSON document parser/printer, and the file I/O
    of the snapshot and tuning databases. Keeping them here, below Obs
    in the dependency graph, means every module escapes strings
@@ -24,13 +24,13 @@ let escape s =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Typed payload values (the Events payload)                           *)
+(* Typed payload values (the Obs decision-event payload)               *)
 (* ------------------------------------------------------------------ *)
 
 type value = S of string | I of int | F of float | B of bool
 
-(* Floats always carry a '.' or exponent so a raw-token parser can tell
-   them from ints; "%.17g" keeps the round trip exact. *)
+(* Floats always carry a '.' or exponent so a reader can tell them from
+   ints; "%.17g" keeps every finite double exact. *)
 let float_repr f =
   if Float.is_nan f then "\"nan\""
   else if f = infinity then "\"inf\""

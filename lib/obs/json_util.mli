@@ -1,22 +1,20 @@
 (** Shared JSON primitives for the observability layer: the single
     string escaper used by every JSON producer in the tree, the typed
-    payload value of {!Events}, the minimal JSON document
+    payload value of {!Obs} decision events, the minimal JSON document
     parser/printer, and whole-file read/write whose errors name the
     path. *)
 
 val escape : string -> string
 (** Escape a string for embedding in a JSON string literal. *)
 
-(** Payload value: string, int, float or bool. Ints and floats stay
-    distinct through a JSONL round-trip ([F 5.] prints as ["5.0"]). *)
+(** Payload value: string, int, float or bool. Floats always print
+    with a ['.'] or an exponent ([F 5.] prints as ["5.0"]), so a reader
+    of the JSON can tell them from ints. *)
 type value = S of string | I of int | F of float | B of bool
 
-val float_repr : float -> string
-(** Exact ([%.17g]) float rendering that always carries a ['.'] or
-    exponent; nan/inf render as quoted strings. *)
-
 val value_json : value -> string
-(** JSON rendering of a payload value. *)
+(** JSON rendering of a payload value: floats print exactly
+    ([%.17g]), and nan/inf render as quoted strings. *)
 
 val value_to_string : value -> string
 (** Human-readable rendering (no quotes around strings). *)

@@ -1,6 +1,6 @@
 (* Compiler-wide observability: hierarchical timed spans, monotonic
-   counters and summary histograms, with three exporters (human stats
-   table, machine JSON, Chrome trace_event JSON).
+   counters, summary histograms and typed decision events, with two
+   exporters (human stats table, Chrome trace_event JSON).
 
    Everything is off by default: each entry point starts with a single
    flag load and branch, so instrumented hot paths (FM elimination,
@@ -8,7 +8,7 @@
    disabled.
 
    Domain safety: all registries (counters, span stats, histograms and
-   the span-event ring) live behind one mutex, so work running
+   the span and event rings) live behind one mutex, so work running
    concurrently across OCaml 5 domains — the tuner's parallel candidate
    evaluation, the tile-graph runtime's workers — accumulates exact
    totals. Span nesting depth is domain-local (DLS), so spans nest per
@@ -39,16 +39,25 @@ type histogram = {
   mutable h_max : float;
 }
 
+type value = Json_util.value = S of string | I of int | F of float | B of bool
+
 type event = {
-  ev_name : string;
-  ev_start_s : float;  (* relative to the epoch set by [reset] *)
-  ev_dur_s : float;
-  ev_depth : int;
+  seq : int;
+  ts_s : float;
+  dur_s : float;
+  cat : string;
+  name : string;
+  args : (string * value) list;
 }
 
-(* One mutex guards every registry below. Lock order: this mutex may be
-   held while reset hooks run (so hooks must not call back into Obs),
-   and is never taken while another observability lock is held. *)
+type interval = {
+  iv_name : string;
+  iv_start_s : float;  (* relative to the epoch set by [reset] *)
+  iv_dur_s : float;
+  iv_depth : int;
+}
+
+(* One mutex guards every registry below. *)
 let mu = Mutex.create ()
 
 let with_lock f =
@@ -67,12 +76,26 @@ let span_stats : (string, span_stat) Hashtbl.t = Hashtbl.create 64
 
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 64
 
-(* Completed spans in completion order, kept in a bounded ring: once
-   full, the oldest interval is dropped so a very long run keeps its
-   newest spans instead of growing without bound. *)
-let events : event Queue.t = Queue.create ()
+(* Completed spans and decision events, each in a bounded ring: once
+   full, the oldest entry is dropped so a very long run keeps its
+   newest ones instead of growing without bound. The rings are
+   separate, so a flood of runtime.tile events never pushes out the
+   spans that per-layer time ledgers sum. [emitted] counts every
+   decision event since the last reset, dropped ones included. *)
+let intervals : interval Queue.t = Queue.create ()
 
-let max_events = 1_000_000
+let max_intervals = 1_000_000
+
+let events_q : event Queue.t = Queue.create ()
+
+let max_events = 65_536
+
+let emitted = ref 0
+
+(* Under the lock: append, dropping the oldest entry once over [cap]. *)
+let push_bounded q cap x =
+  Queue.push x q;
+  if Queue.length q > cap then ignore (Queue.pop q)
 
 (* Span nesting depth is domain-local: concurrent domains nest their
    own spans without seeing each other's depth. *)
@@ -82,22 +105,15 @@ let now () = Unix.gettimeofday ()
 
 let epoch = ref (now ())
 
-(* Reset hooks let sibling modules (Events) clear their buffers inside
-   the same critical section, so a reset racing with a recording domain
-   cannot leave spans from before it next to events from after it.
-   Hooks must not call back into Obs. *)
-let reset_hooks : (unit -> unit) list ref = ref []
-
-let on_reset f = reset_hooks := f :: !reset_hooks
-
 let reset () =
   with_lock (fun () ->
       Hashtbl.reset counters;
       Hashtbl.reset span_stats;
       Hashtbl.reset histograms;
-      Queue.clear events;
-      epoch := now ();
-      List.iter (fun f -> f ()) !reset_hooks);
+      Queue.clear intervals;
+      Queue.clear events_q;
+      emitted := 0;
+      epoch := now ());
   Domain.DLS.get depth_key := 0
 
 let elapsed_s () = now () -. !epoch
@@ -184,14 +200,12 @@ let record_span name start_abs dur ~depth =
           if dur > s.max_s then s.max_s <- dur
       | None ->
           Hashtbl.add span_stats name { calls = 1; total_s = dur; max_s = dur });
-      Queue.push
-        { ev_name = name;
-          ev_start_s = start_abs -. !epoch;
-          ev_dur_s = dur;
-          ev_depth = depth
-        }
-        events;
-      if Queue.length events > max_events then ignore (Queue.pop events))
+      push_bounded intervals max_intervals
+        { iv_name = name;
+          iv_start_s = start_abs -. !epoch;
+          iv_dur_s = dur;
+          iv_depth = depth
+        })
 
 let span name f =
   if not !enabled then f ()
@@ -230,14 +244,33 @@ let spans_alist () =
   |> List.sort (fun (na, (_, ta, _)) (nb, (_, tb, _)) ->
          match compare tb ta with 0 -> compare na nb | c -> c)
 
-let recorded_events () =
-  with_lock (fun () -> Queue.fold (fun acc e -> e :: acc) [] events)
-  |> List.rev
+let contents q = with_lock (fun () -> List.of_seq (Queue.to_seq q))
 
 let trace_events () =
   List.map
-    (fun e -> (e.ev_name, e.ev_start_s, e.ev_dur_s, e.ev_depth))
-    (recorded_events ())
+    (fun i -> (i.iv_name, i.iv_start_s, i.iv_dur_s, i.iv_depth))
+    (contents intervals)
+
+(* ------------------------------------------------------------------ *)
+(* Decision events                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let event ?ts_s ?(dur_s = 0.0) ?(cat = "event") name args =
+  if !enabled then begin
+    let ts_s = match ts_s with Some t -> t | None -> elapsed_s () in
+    with_lock (fun () ->
+        push_bounded events_q max_events
+          { seq = !emitted; ts_s; dur_s; cat; name; args };
+        incr emitted)
+  end
+
+let events () = contents events_q
+
+let events_emitted () = with_lock (fun () -> !emitted)
+
+let events_dropped () = with_lock (fun () -> !emitted - Queue.length events_q)
+
+let arg e key = List.assoc_opt key e.args
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
@@ -291,71 +324,60 @@ let stats_table () =
     Buffer.add_string b "(no observability data recorded)\n";
   Buffer.contents b
 
-let escape_json = Json_util.escape
+(* Chrome trace_event format with microsecond timestamps, loadable in
+   about://tracing or https://ui.perfetto.dev. Spans are complete ("X")
+   events on tid 1; decision events go on tid 2, as instants ("i"), or
+   complete when they carry a duration. Everything after the metadata
+   event is sorted by timestamp (stably: spans before events on a tie),
+   and the counters ride along as one final "C" event. *)
+type row = Span of interval | Ev of event
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
-let stats_json () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"spans\":{";
-  List.iteri
-    (fun i (name, (calls, total, mx)) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\":{\"calls\":%d,\"total_s\":%s,\"max_s\":%s}"
-           (escape_json name) calls (json_float total) (json_float mx)))
-    (spans_alist ());
-  Buffer.add_string b "},\"counters\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (escape_json name) v))
-    (counters_alist ());
-  Buffer.add_string b "},\"histograms\":{";
-  List.iteri
-    (fun i (name, (count, sum, mn, mx)) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s}"
-           (escape_json name) count (json_float sum) (json_float mn)
-           (json_float mx)))
-    (histograms_alist ());
-  Buffer.add_string b "}}";
-  Buffer.contents b
-
-(* Chrome trace_event format: complete ("X") events with microsecond
-   timestamps, loadable in about://tracing or https://ui.perfetto.dev.
-   Counters ride along as one final "C" event so they are visible in the
-   trace viewer too. *)
 let chrome_trace () =
+  let rows =
+    List.map (fun i -> Span i) (contents intervals)
+    @ List.map (fun e -> Ev e) (events ())
+  in
+  let ts_us = function Span i -> i.iv_start_s *. 1e6 | Ev e -> e.ts_s *. 1e6 in
+  let rows = List.stable_sort (fun a b -> compare (ts_us a) (ts_us b)) rows in
+  let esc = Json_util.escape in
   let b = Buffer.create 8192 in
   Buffer.add_string b "{\"traceEvents\":[";
   Buffer.add_string b
     "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"memcomp\"}}";
-  let last_ts = ref 0.0 in
   List.iter
-    (fun e ->
-      let ts = e.ev_start_s *. 1e6 in
-      if ts +. (e.ev_dur_s *. 1e6) > !last_ts then
-        last_ts := ts +. (e.ev_dur_s *. 1e6);
-      Buffer.add_string b
-        (Printf.sprintf
-           ",{\"name\":\"%s\",\"cat\":\"pass\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"depth\":%d}}"
-           (escape_json e.ev_name) ts (e.ev_dur_s *. 1e6) e.ev_depth))
-    (recorded_events ());
+    (fun row ->
+      let ts = ts_us row in
+      match row with
+      | Span i ->
+          Printf.bprintf b
+            ",{\"name\":\"%s\",\"cat\":\"pass\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"depth\":%d}}"
+            (esc i.iv_name) ts (i.iv_dur_s *. 1e6) i.iv_depth
+      | Ev e ->
+          if e.dur_s > 0.0 then
+            Printf.bprintf b
+              ",{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":%.3f,\"dur\":%.3f,\"args\":{"
+              (esc e.name) (esc e.cat) ts (e.dur_s *. 1e6)
+          else
+            Printf.bprintf b
+              ",{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"pid\":1,\"tid\":2,\"ts\":%.3f,\"s\":\"t\",\"args\":{"
+              (esc e.name) (esc e.cat) ts;
+          List.iteri
+            (fun k (key, v) ->
+              if k > 0 then Buffer.add_char b ',';
+              Printf.bprintf b "\"%s\":%s" (esc key) (Json_util.value_json v))
+            e.args;
+          Buffer.add_string b "}}")
+    rows;
   let cs = counters_alist () in
   if cs <> [] then begin
-    Buffer.add_string b
-      (Printf.sprintf
-         ",{\"name\":\"counters\",\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"args\":{"
-         !last_ts);
+    let last_ts = List.fold_left (fun acc r -> max acc (ts_us r)) 0.0 rows in
+    Printf.bprintf b
+      ",{\"name\":\"counters\",\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"args\":{"
+      last_ts;
     List.iteri
       (fun i (name, v) ->
         if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":%d" (escape_json name) v))
+        Printf.bprintf b "\"%s\":%d" (esc name) v)
       cs;
     Buffer.add_string b "}}"
   end;

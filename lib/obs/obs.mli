@@ -1,6 +1,6 @@
 (** Compiler-wide observability: hierarchical timed spans, monotonic
-    counters and summary histograms, plus exporters (human-readable
-    stats table, machine-readable JSON, Chrome trace_event JSON).
+    counters, summary histograms and typed decision events, plus two
+    exporters (human-readable stats table, Chrome trace_event JSON).
 
     Disabled by default; when disabled every entry point is a single
     flag check, so instrumentation in hot paths is essentially free.
@@ -25,20 +25,15 @@ val disable : unit -> unit
 val is_enabled : unit -> bool
 
 val reset : unit -> unit
-(** Drop all recorded spans, counters, histograms and trace events,
-    restart the trace clock epoch, and run every hook registered with
-    {!on_reset} — all inside one critical section, so a domain that is
-    still recording never sees the registries half cleared. *)
-
-val on_reset : (unit -> unit) -> unit
-(** Register a hook run (inside the registry lock) at every {!reset}.
-    Hooks must not call back into [Obs]. Used by {!Events} to clear its
-    ring atomically with the registries here. *)
+(** Drop all recorded spans, counters, histograms and decision events,
+    zero the event emission count and restart the trace clock epoch,
+    all inside one critical section, so a domain that is still
+    recording never sees the registries half cleared. *)
 
 val elapsed_s : unit -> float
-(** Seconds since the trace clock epoch set by [reset]. Timestamps on
-    structured events (see {!Events}) use this clock so they line up
-    with span intervals in a merged Chrome trace. *)
+(** Seconds since the trace clock epoch set by [reset]. Span intervals
+    and decision events share this clock, so they line up in one
+    Chrome trace. *)
 
 (** {1 Recording} *)
 
@@ -60,6 +55,33 @@ val observe : string -> float -> unit
     minimum and maximum of everything observed. *)
 
 val observe_int : string -> int -> unit
+
+(** {2 Decision events}
+
+    Typed records of what the compiler decided (fusion accept/reject,
+    tile-shape choice, post-tiling rewrites, tuner steps, verifier
+    work per dependence) and of runtime samples (per-tile timelines),
+    rather than aggregate counts. *)
+
+(** Payload value: string, int, float or bool (an alias of
+    {!Json_util.value}). *)
+type value = Json_util.value = S of string | I of int | F of float | B of bool
+
+type event = {
+  seq : int;  (** emission index since [reset]; counts events later dropped *)
+  ts_s : float;  (** seconds since the [reset] epoch *)
+  dur_s : float;  (** 0 for instantaneous events *)
+  cat : string;  (** category, e.g. ["fusion"], ["runtime"] *)
+  name : string;  (** dotted event name, e.g. ["fusion.reject"] *)
+  args : (string * value) list;
+}
+
+val event :
+  ?ts_s:float -> ?dur_s:float -> ?cat:string -> string -> (string * value) list -> unit
+(** [event name args] records a decision event stamped [elapsed_s ()]
+    (or the explicit [ts_s]); [cat] defaults to ["event"]. No-op while
+    disabled. The newest 65_536 events are kept; older ones are
+    dropped. *)
 
 (** {1 Inspection} *)
 
@@ -86,21 +108,32 @@ val trace_events : unit -> (string * float * float * int) list
 (** Completed span intervals as [(name, start_s, dur_s, depth)] in
     completion order, with [start_s] relative to the epoch. The ring
     holds the newest 1_000_000 intervals; aggregate span stats count
-    every span. Consumed by {!Events.chrome_trace} to merge spans and
-    structured events. *)
+    every span. Decision events are not included. *)
+
+val events : unit -> event list
+(** Retained decision events, oldest first. *)
+
+val events_emitted : unit -> int
+(** Decision events emitted since the last reset, dropped ones
+    included. *)
+
+val events_dropped : unit -> int
+(** Decision events lost to ring overflow. *)
+
+val arg : event -> string -> value option
+(** Payload lookup by key. *)
 
 (** {1 Exporters} *)
 
 val stats_table : unit -> string
 (** Human-readable per-phase time / counter / histogram breakdown. *)
 
-val stats_json : unit -> string
-(** Machine-readable JSON:
-    [{"spans": {...}, "counters": {...}, "histograms": {...}}]. *)
-
 val chrome_trace : unit -> string
-(** Chrome trace_event JSON (complete ["X"] events, plus counters as a
-    single ["C"] event), loadable in about://tracing or Perfetto. *)
+(** Chrome trace_event JSON, loadable in about://tracing or Perfetto:
+    span intervals as complete ["X"] events on tid 1, decision events
+    on tid 2 (instant ["i"], or ["X"] when they have a duration), all
+    in non-decreasing timestamp order, then the counters as one ["C"]
+    event. *)
 
 val write_chrome_trace : string -> unit
 (** Write [chrome_trace ()] to a file. *)

@@ -7,37 +7,25 @@
    the old generation promotes the entry, giving cheap LRU-like
    behaviour without per-entry bookkeeping.
 
-   Statistics (hits / misses / evicted entries) are kept in plain
-   mutable ints so they are always available — the test harness prints
-   them on failure even when Obs is disabled — and every event is
-   mirrored into Obs counters (fm.cache.<name>.hit / .miss / .evict
-   plus the fm.cache.hit / fm.cache.miss / fm.cache.evict aggregates)
-   so cache behaviour lands in `bench snapshot` databases and is gated
-   exactly by `bench regress`.
+   Hits, misses and evicted entries are counted in Obs only
+   (fm.cache.<name>.hit / .miss / .evict plus the fm.cache.hit /
+   fm.cache.miss / fm.cache.evict aggregates), so cache behaviour lands
+   in `bench snapshot` databases and is gated exactly by `bench
+   regress`.
 
-   Knobs: MEMCOMP_FM_CACHE=0 disables memoization (the exact paths are
-   simply recomputed; results are identical by construction, which the
-   test_props differential suite enforces), MEMCOMP_FM_CACHE_SIZE sets
-   the per-cache generation capacity. Both are also settable
-   programmatically.
+   [set_enabled false] disables memoization: the exact paths are simply
+   recomputed, and results are identical by construction, which the
+   test_props differential suite enforces.
 
    Domain safety: one mutex guards every cache and the registry.
    [find_or_add] never holds it across [compute] — compute can recurse
    into other caches (the mutex is not reentrant) and can be expensive;
    a concurrent miss on the same key just computes twice and the second
    insert wins, which is correct for these pure memoizations. Obs
-   counter mirrors are emitted outside the lock (lock order: Fm_cache
-   -> Obs, never the reverse). *)
-
-type stats = {
-  st_name : string;
-  mutable st_hits : int;
-  mutable st_misses : int;
-  mutable st_evicted : int;
-}
+   counters are bumped outside the lock (lock order: Fm_cache -> Obs,
+   never the reverse). *)
 
 type ('k, 'v) t = {
-  stats : stats;
   obs_hit : string;
   obs_miss : string;
   obs_evict : string;
@@ -46,34 +34,20 @@ type ('k, 'v) t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Global knobs and registry                                           *)
+(* Global switch and registry                                          *)
 (* ------------------------------------------------------------------ *)
 
-let env_false = function Some ("0" | "off" | "false" | "no") -> false | _ -> true
+let enabled = ref true
 
-let enabled = ref (env_false (Sys.getenv_opt "MEMCOMP_FM_CACHE"))
-
-let default_capacity = 8192
-
-let capacity =
-  ref
-    (match Sys.getenv_opt "MEMCOMP_FM_CACHE_SIZE" with
-    | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> default_capacity)
-    | None -> default_capacity)
+(* Per-cache generation capacity. *)
+let capacity = 8192
 
 let set_enabled b = enabled := b
 
 let is_enabled () = !enabled
 
-let set_capacity n = if n > 0 then capacity := n
-
-type registered = {
-  r_stats : stats;
-  r_clear : unit -> unit;
-  r_size : unit -> int;
-}
-
-let registry : registered list ref = ref []
+(* How to clear each registered cache. *)
+let registry : (unit -> unit) list ref = ref []
 
 let mu = Mutex.create ()
 
@@ -88,10 +62,8 @@ let with_lock f =
       raise e
 
 let create name =
-  let stats = { st_name = name; st_hits = 0; st_misses = 0; st_evicted = 0 } in
   let c =
-    { stats;
-      obs_hit = "fm.cache." ^ name ^ ".hit";
+    { obs_hit = "fm.cache." ^ name ^ ".hit";
       obs_miss = "fm.cache." ^ name ^ ".miss";
       obs_evict = "fm.cache." ^ name ^ ".evict";
       young = Hashtbl.create 256;
@@ -100,13 +72,9 @@ let create name =
   in
   with_lock (fun () ->
       registry :=
-        { r_stats = stats;
-          r_clear =
-            (fun () ->
-              Hashtbl.reset c.young;
-              Hashtbl.reset c.old);
-          r_size = (fun () -> Hashtbl.length c.young + Hashtbl.length c.old)
-        }
+        (fun () ->
+          Hashtbl.reset c.young;
+          Hashtbl.reset c.old)
         :: !registry);
   c
 
@@ -115,12 +83,11 @@ let create name =
 (* ------------------------------------------------------------------ *)
 
 (* Runs under the lock; returns the number of entries evicted so the
-   caller can mirror them into Obs after unlocking. *)
+   caller can count them in Obs after unlocking. *)
 let insert_unlocked c k v =
   let evicted =
-    if Hashtbl.length c.young >= !capacity then begin
+    if Hashtbl.length c.young >= capacity then begin
       let evicted = Hashtbl.length c.old in
-      if evicted > 0 then c.stats.st_evicted <- c.stats.st_evicted + evicted;
       let emptied = c.old in
       Hashtbl.reset emptied;
       c.old <- c.young;
@@ -132,19 +99,11 @@ let insert_unlocked c k v =
   Hashtbl.replace c.young k v;
   evicted
 
-let mirror_evicted c evicted =
+let count_evicted c evicted =
   if evicted > 0 then begin
     Obs.add c.obs_evict evicted;
     Obs.add "fm.cache.evict" evicted
   end
-
-let mirror_hit c =
-  Obs.count c.obs_hit;
-  Obs.count "fm.cache.hit"
-
-let mirror_miss c =
-  Obs.count c.obs_miss;
-  Obs.count "fm.cache.miss"
 
 let find_or_add c k compute =
   if not !enabled then compute ()
@@ -152,75 +111,31 @@ let find_or_add c k compute =
     let probe =
       with_lock (fun () ->
           match Hashtbl.find_opt c.young k with
-          | Some v ->
-              c.stats.st_hits <- c.stats.st_hits + 1;
-              Some (v, 0)
+          | Some v -> Some (v, 0)
           | None -> (
               match Hashtbl.find_opt c.old k with
               | Some v ->
                   (* promote so a warm entry survives the next rotation *)
-                  c.stats.st_hits <- c.stats.st_hits + 1;
                   Some (v, insert_unlocked c k v)
-              | None ->
-                  c.stats.st_misses <- c.stats.st_misses + 1;
-                  None))
+              | None -> None))
     in
     match probe with
     | Some (v, evicted) ->
-        mirror_hit c;
-        mirror_evicted c evicted;
+        Obs.count c.obs_hit;
+        Obs.count "fm.cache.hit";
+        count_evicted c evicted;
         v
     | None ->
-        mirror_miss c;
+        Obs.count c.obs_miss;
+        Obs.count "fm.cache.miss";
         (* computed outside the lock: compute can recurse into caches
            and a concurrent duplicate compute is harmless (pure). *)
         let v = compute () in
         let evicted = with_lock (fun () -> insert_unlocked c k v) in
-        mirror_evicted c evicted;
+        count_evicted c evicted;
         v
   end
 
-(* ------------------------------------------------------------------ *)
-(* Stats                                                               *)
-(* ------------------------------------------------------------------ *)
-
 let reset () =
-  with_lock (fun () ->
-      List.iter
-        (fun r ->
-          r.r_clear ();
-          r.r_stats.st_hits <- 0;
-          r.r_stats.st_misses <- 0;
-          r.r_stats.st_evicted <- 0)
-        !registry);
+  with_lock (fun () -> List.iter (fun clear -> clear ()) !registry);
   Hc.clear ()
-
-let stats_alist () =
-  with_lock (fun () ->
-      List.map
-        (fun r ->
-          (r.r_stats.st_name, (r.r_stats.st_hits, r.r_stats.st_misses, r.r_stats.st_evicted, r.r_size ())))
-        !registry)
-  |> List.sort compare
-
-let stats_table () =
-  let rows = stats_alist () in
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "== fm memo caches (%s, capacity %d) ==\n"
-       (if !enabled then "enabled" else "disabled")
-       !capacity);
-  let w =
-    List.fold_left (fun acc (n, _) -> max acc (String.length n)) 4 rows
-  in
-  Buffer.add_string b
-    (Printf.sprintf "  %-*s %10s %10s %10s %10s %8s\n" w "name" "hits"
-       "misses" "evicted" "entries" "hit%");
-  List.iter
-    (fun (name, (h, m, e, sz)) ->
-      let total = h + m in
-      Buffer.add_string b
-        (Printf.sprintf "  %-*s %10d %10d %10d %10d %7.1f%%\n" w name h m e sz
-           (100.0 *. float_of_int h /. float_of_int (max 1 total))))
-    rows;
-  Buffer.contents b

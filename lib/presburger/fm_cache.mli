@@ -3,26 +3,22 @@
     hash-consed canonical systems ({!Hc}).
 
     Each cache is a two-generation table: when the young generation
-    reaches the capacity, the old generation is dropped wholesale (a
+    reaches 8192 entries, the old generation is dropped wholesale (a
     deterministic amortized-O(1) FIFO); probes that hit the old
-    generation promote the entry. Hits, misses and evictions are kept
-    in always-on counters (printed by the test harness on failure) and
-    mirrored into Obs counters [fm.cache.<name>.hit/.miss/.evict] plus
-    the [fm.cache.hit/.miss/.evict] aggregates, so they appear in
+    generation promote the entry. Hits, misses and evictions are
+    counted in Obs as [fm.cache.<name>.hit/.miss/.evict] plus the
+    [fm.cache.hit/.miss/.evict] aggregates, so they appear in
     [bench snapshot] databases and are gated exactly by
     [bench regress].
 
-    Knobs: the [MEMCOMP_FM_CACHE=0] environment variable (or
-    {!set_enabled}[ false]) disables memoization — results are then
+    {!set_enabled}[ false] disables memoization — results are then
     recomputed exactly and must be bit-identical, which
-    [test/test_props.ml] enforces differentially;
-    [MEMCOMP_FM_CACHE_SIZE] (or {!set_capacity}) sets the per-cache
-    generation capacity (default 8192 entries). *)
+    [test/test_props.ml] enforces differentially. *)
 
 type ('k, 'v) t
 
 val create : string -> ('k, 'v) t
-(** A new registered cache; the name keys the stats and Obs counters. *)
+(** A new registered cache; the name keys its Obs counters. *)
 
 val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** Memoized call: returns the cached value for the key, or computes,
@@ -33,17 +29,7 @@ val set_enabled : bool -> unit
 
 val is_enabled : unit -> bool
 
-val set_capacity : int -> unit
-(** Per-cache generation capacity; ignored unless positive. *)
-
 val reset : unit -> unit
-(** Clear every cache, zero all stats, and drop the {!Hc} interning
-    tables. Call between independent measurements (the bench snapshot
-    collector does) so cache counters stay per-workload deterministic. *)
-
-val stats_alist : unit -> (string * (int * int * int * int)) list
-(** Per-cache [(name, (hits, misses, evicted, live_entries))], sorted
-    by name. *)
-
-val stats_table : unit -> string
-(** Human-readable table of the same, with hit rates. *)
+(** Clear every cache and drop the {!Hc} interning tables. Call
+    between independent measurements (the bench snapshot collector
+    does) so cache counters stay per-workload deterministic. *)

@@ -10,15 +10,13 @@ type result = {
   wall_s : float;
 }
 
-let run ?(jobs = 1) ?(race_check = false) ?max_tiles ?split_depth
-    ?(seed = 42) (p : Prog.t) ~deps ast =
+let run ?(jobs = 1) ?(race_check = false) ?(seed = 42) (p : Prog.t) ~deps ast =
   Obs.span "runtime.run" @@ fun () ->
   let jobs = max 1 jobs in
   let mem = Interp.alloc p in
   Cpu_model.deterministic_fill ~seed p mem;
   let graph =
-    Obs.span "runtime.extract" (fun () ->
-        Tile_graph.extract ?max_tiles ?split_depth p ~deps ast)
+    Obs.span "runtime.extract" (fun () -> Tile_graph.extract p ~deps ast)
   in
   let t0 = Unix.gettimeofday () in
   let metrics =
@@ -39,9 +37,9 @@ let run ?(jobs = 1) ?(race_check = false) ?max_tiles ?split_depth
   let exec_epoch = Obs.elapsed_s () -. wall_s in
   List.iter
     (fun e ->
-      Events.emit ~ts_s:(exec_epoch +. e.Executor.tl_start_s)
+      Obs.event ~ts_s:(exec_epoch +. e.Executor.tl_start_s)
         ~dur_s:e.Executor.tl_dur_s ~cat:"runtime" "runtime.tile"
-        [ ("tile", Events.I e.Executor.tl_tile);
-          ("worker", Events.I e.Executor.tl_worker) ])
+        [ ("tile", Obs.I e.Executor.tl_tile);
+          ("worker", Obs.I e.Executor.tl_worker) ])
     metrics.Executor.m_timeline;
   { mem; graph; metrics; wall_s }

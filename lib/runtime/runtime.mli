@@ -19,8 +19,6 @@ type result = {
 val run :
   ?jobs:int ->
   ?race_check:bool ->
-  ?max_tiles:int ->
-  ?split_depth:int ->
   ?seed:int ->
   Prog.t -> deps:Deps.t list -> Ast.t -> result
 (** Allocate memory, fill deterministically (same [seed] default as

@@ -155,8 +155,11 @@ let rec contains_point = function
   | Ast.Block ts -> List.exists contains_point ts
   | Ast.Call _ | Ast.Nop -> false
 
-let extract ?(max_tiles = 1024) ?(split_depth = 2) (p : Prog.t)
-    ~(deps : Deps.t list) ast =
+(* Loops without a point marker (naive or residual code) are enumerated
+   this many levels deep. *)
+let split_levels = 2
+
+let extract ?(max_tiles = 1024) (p : Prog.t) ~(deps : Deps.t list) ast =
   let params = p.Prog.params in
   let items = ref [] in
   let n = ref 0 in
@@ -217,7 +220,7 @@ let extract ?(max_tiles = 1024) ?(split_depth = 2) (p : Prog.t)
         | _ -> add_item ~kernel ~env node)
     | Ast.Call _ -> add_item ~kernel ~env node
   in
-  walk ~depth:split_depth [] (-1) ast;
+  walk ~depth:split_levels [] (-1) ast;
   let items = Array.of_list (List.rev !items) in
   let n = Array.length items in
   let dep_pair = Hashtbl.create 32 in

@@ -43,15 +43,13 @@ val overlap : box -> box -> bool
 
 val contains_point : Ast.t -> bool
 
-val extract :
-  ?max_tiles:int -> ?split_depth:int -> Prog.t -> deps:Deps.t list -> Ast.t -> t
+val extract : ?max_tiles:int -> Prog.t -> deps:Deps.t list -> Ast.t -> t
 (** Extract the tile graph of an AST. Loops above a point marker are
     enumerated while the item count stays under [max_tiles] (a soft
     cap, default 1024); beyond it whole subtrees coarsen into single
     items. ASTs without point markers fall back to enumerating up to
-    [split_depth] outer loop levels (default 2). Items whose accesses
-    cannot be bounded become opaque and are ordered against every
-    other item. *)
+    two outer loop levels. Items whose accesses cannot be bounded
+    become opaque and are ordered against every other item. *)
 
 val levels : t -> int array
 (** Wavefront level of each item: longest edge path from a root. *)

@@ -329,16 +329,16 @@ let schedule ?(max_steps = 2_000_000) ?(fuse_reductions = true) (p : Prog.t)
             if bd < 1 then
               Error
                 ( "no_legal_band",
-                  ("band_dims_tried", Events.I max_bd) :: !deepest )
+                  ("band_dims_tried", Obs.I max_bd) :: !deepest )
             else begin
               steps := !steps + List.length stmts;
               let candidate = group_of_stmts ~band_dims:bd p ~deps stmts in
               if bd = max_bd then
                 deepest :=
-                  [ ("serialized", Events.B candidate.serialized);
-                    ("permutable", Events.B candidate.permutable);
-                    ("parallel_dims", Events.I (n_parallel candidate));
-                    ("target_parallelism", Events.I target_parallelism)
+                  [ ("serialized", Obs.B candidate.serialized);
+                    ("permutable", Obs.B candidate.permutable);
+                    ("parallel_dims", Obs.I (n_parallel candidate));
+                    ("target_parallelism", Obs.I target_parallelism)
                   ];
               if
                 (not candidate.serialized)
@@ -363,9 +363,9 @@ let schedule ?(max_steps = 2_000_000) ?(fuse_reductions = true) (p : Prog.t)
         Ok candidate
   in
   let decision_base prev g =
-    [ ("heuristic", Events.S (heuristic_name heuristic));
-      ("prev", Events.S (String.concat "+" prev.stmts));
-      ("next", Events.S (String.concat "+" g.stmts))
+    [ ("heuristic", Obs.S (heuristic_name heuristic));
+      ("prev", Obs.S (String.concat "+" prev.stmts));
+      ("next", Obs.S (String.concat "+" g.stmts))
     ]
   in
   let groups =
@@ -380,17 +380,17 @@ let schedule ?(max_steps = 2_000_000) ?(fuse_reductions = true) (p : Prog.t)
                 match try_merge prev g with
                 | Ok merged ->
                     Obs.count "fusion.fuse_accept";
-                    Events.emit ~cat:"fusion" "fusion.accept"
+                    Obs.event ~cat:"fusion" "fusion.accept"
                       (decision_base prev g
-                      @ [ ("band_dims", Events.I merged.band_dims);
-                          ("parallel_dims", Events.I (n_parallel merged))
+                      @ [ ("band_dims", Obs.I merged.band_dims);
+                          ("parallel_dims", Obs.I (n_parallel merged))
                         ]);
                     merged :: rest
                 | Error (reason, details) ->
                     Obs.count "fusion.fuse_reject";
-                    Events.emit ~cat:"fusion" "fusion.reject"
+                    Obs.event ~cat:"fusion" "fusion.reject"
                       (decision_base prev g
-                      @ (("reason", Events.S reason) :: details));
+                      @ (("reason", Obs.S reason) :: details));
                     g :: prev :: rest))
           [] atom_groups
         |> List.rev

@@ -54,11 +54,11 @@ let record acc (c, outcome) =
   match outcome with
   | Evaluator.Illegal msg ->
       acc.illegal <- acc.illegal + 1;
-      Events.emit ~cat:"tuner" "tune.illegal"
+      Obs.event ~cat:"tuner" "tune.illegal"
         [ ("candidate", S (Search_space.candidate_name c)); ("reason", S msg) ]
   | Evaluator.Failed msg ->
       acc.failed <- acc.failed + 1;
-      Events.emit ~cat:"tuner" "tune.failed"
+      Obs.event ~cat:"tuner" "tune.failed"
         [ ("candidate", S (Search_space.candidate_name c)); ("reason", S msg) ]
   | Evaluator.Scored s ->
       let eligible =
@@ -77,7 +77,7 @@ let record acc (c, outcome) =
         acc.best <- Some (c, s);
         acc.trajectory <-
           (Search_space.candidate_name c, Evaluator.cost s) :: acc.trajectory;
-        Events.emit ~cat:"tuner" "tune.improved"
+        Obs.event ~cat:"tuner" "tune.improved"
           [ ("candidate", S (Search_space.candidate_name c));
             ("cost", F (Evaluator.cost s))
           ]
@@ -187,7 +187,7 @@ let tune ?(strategy = Greedy) ?(budget = 48) ?(jobs = 1) ?(seed = 0) ?space
       match (Tune_db.find db key, force) with
       | Some entry, false ->
           Obs.count "tuner.db_hit";
-          Events.emit ~cat:"tuner" "tune.db_hit"
+          Obs.event ~cat:"tuner" "tune.db_hit"
             [ ("workload", S p.Prog.prog_name); ("key", S key) ];
           let space_n = fst (Search_space.enumerate sp) |> List.length in
           Ok { r_entry = entry; r_cached = true; r_space = space_n }
@@ -196,7 +196,7 @@ let tune ?(strategy = Greedy) ?(budget = 48) ?(jobs = 1) ?(seed = 0) ?space
           Obs.count "tuner.tunes";
           let cands, pruned = Search_space.enumerate sp in
           Obs.add "tuner.pruned" pruned;
-          Events.emit ~cat:"tuner" "tune.begin"
+          Obs.event ~cat:"tuner" "tune.begin"
             [ ("workload", S p.Prog.prog_name);
               ("strategy", S (strategy_name strategy));
               ("budget", I budget);
@@ -237,7 +237,7 @@ let tune ?(strategy = Greedy) ?(budget = 48) ?(jobs = 1) ?(seed = 0) ?space
                   ~failed:acc.failed ~pruned
                   ~trajectory:(List.rev acc.trajectory)
               in
-              Events.emit ~cat:"tuner" "tune.end"
+              Obs.event ~cat:"tuner" "tune.end"
                 [ ("workload", S p.Prog.prog_name);
                   ("best", S (Search_space.candidate_name best_c));
                   ("cost", F (Evaluator.cost best_s));

@@ -424,10 +424,6 @@ let check (p : Prog.t) tree =
   let deps = Obs.span "verify.deps" (fun () -> Deps.compute p) in
   let check_dep (d : Deps.t) =
     Obs.count "verify.deps_checked";
-    if Sys.getenv_opt "MEMCOMP_VERIFY_DEBUG" <> None then
-      Printf.eprintf "DEP %s %s -> %s on %s (%.0fs)\n%!"
-        (kind_string d.Deps.kind) d.Deps.src d.Deps.dst d.Deps.array
-        (Sys.time ());
     let src_stmt = Prog.find_stmt p d.Deps.src in
     let dst_stmt = Prog.find_stmt p d.Deps.dst in
     let n_s = Bset.n_dims src_stmt.Prog.domain in
@@ -761,9 +757,27 @@ let check (p : Prog.t) tree =
         end)
       dst_occs
   in
+  (* While Obs records, each dependence leaves one timed verify.dep
+     event, so a trace shows which one the checker spends its time on. *)
+  let timed_check_dep (d : Deps.t) =
+    if not (Obs.is_enabled ()) then check_dep d
+    else begin
+      let t0 = Obs.elapsed_s () in
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.event ~ts_s:t0 ~dur_s:(Obs.elapsed_s () -. t0) ~cat:"verify"
+            "verify.dep"
+            [ ("kind", Obs.S (kind_string d.Deps.kind));
+              ("src", Obs.S d.Deps.src);
+              ("dst", Obs.S d.Deps.dst);
+              ("array", Obs.S d.Deps.array)
+            ])
+        (fun () -> check_dep d)
+    end
+  in
   List.iter
     (fun d ->
-      try check_dep d
+      try timed_check_dep d
       with Structural msg ->
         violations :=
           { vl_kind = "structural";

@@ -1,11 +1,10 @@
 (* Shared Alcotest entry point for every test binary: instrumentation is
    recorded for the whole run, and when the suite fails the lib/obs
-   stats table (per-pass wall times, pass counters, histograms) is
+   stats table (per-pass wall times, pass counters including the Fm
+   memo caches' fm.cache.* hits/misses/evictions, histograms) is
    printed to stderr before exiting nonzero — so a CI `dune runtest`
    failure shows where the failing binary spent its time without a
-   rerun. The Fm memo-cache stats (hits/misses/evictions per cache)
-   are printed alongside, since a surprising hit-rate is often the
-   first clue when a cached and an uncached run disagree.
+   rerun.
 
    Individual tests remain free to reset/enable/disable Obs themselves
    (test_obs and test_core do); the harness only sets the initial state
@@ -19,9 +18,20 @@ let run ?argv name suites =
   | exception e ->
       Printf.eprintf "\n== obs stats for failing test binary %S ==\n%s%!" name
         (Obs.stats_table ());
-      Printf.eprintf "\n== fm memo-cache stats ==\n%s%!"
-        (Presburger.Fm_cache.stats_table ());
       (match e with Alcotest.Test_error -> exit 1 | e -> raise e)
+
+(* Run [ast] through the interpreter and return, per statement name,
+   how many instances executed. Every executed instance writes exactly
+   once, so the hook counts writes. *)
+let instances_per_stmt p ast mem =
+  let counts = Hashtbl.create 8 in
+  let hook ~kernel:_ ~stmt ~inst:_ ~array:_ ~cell:_ ~addr:_ ~write =
+    if write then
+      Hashtbl.replace counts stmt
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts stmt))
+  in
+  ignore (Interp.run ~hook p ast mem : Interp.stats);
+  fun name -> Option.value ~default:0 (Hashtbl.find_opt counts name)
 
 (* Seed threading shared by the randomized binaries (test_fuzz,
    test_props): `--seed N` on the command line wins over the FUZZ_SEED

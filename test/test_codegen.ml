@@ -99,11 +99,8 @@ let test_instance_coverage () =
   let c = Core.Pipeline.run ~target:Core.Pipeline.Cpu ~tile_size:4 p in
   let ast = Gen.generate p c.Core.Pipeline.tree in
   let mem = Interp.alloc p in
-  let stats = Interp.run p ast mem in
+  let executed = Harness.instances_per_stmt p ast mem in
   let card name = Prog.domain_card p (Prog.find_stmt p name) in
-  let executed name =
-    Option.value ~default:0 (Hashtbl.find_opt stats.Interp.per_stmt name)
-  in
   (* consumers execute exactly once per instance *)
   List.iter
     (fun s -> check int (s ^ " exact") (card s) (executed s))

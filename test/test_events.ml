@@ -1,9 +1,8 @@
-(* Structured event log tests: ring-buffer overflow accounting, exact
-   JSONL round-trips (int/float payload distinction preserved), merged
-   Chrome-trace ordering, the end-to-end `memcomp explain` report on a
-   registry workload (which must show at least one rejected fusion
-   candidate with its reason), and the exact-sum law of the per-array
-   traffic attribution. *)
+(* Decision-event tests: ring overflow accounting, merged Chrome-trace
+   ordering, the end-to-end `memcomp explain` report on a registry
+   workload (which must show at least one rejected fusion candidate
+   with its reason), and the exact-sum law of the per-array traffic
+   attribution. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -11,7 +10,6 @@ let int = Alcotest.int
 
 let with_obs f =
   Obs.reset ();
-  Events.reset ();
   Obs.enable ();
   Fun.protect ~finally:Obs.disable f
 
@@ -21,62 +19,27 @@ let with_obs f =
 
 let test_ring_overflow () =
   with_obs @@ fun () ->
-  Events.set_capacity 4;
-  Fun.protect ~finally:(fun () -> Events.set_capacity 65536) @@ fun () ->
-  for i = 0 to 9 do
-    Events.emit "tick" [ ("i", Events.I i) ]
+  let capacity = 65_536 in
+  for i = 0 to capacity + 5 do
+    Obs.event "tick" [ ("i", Obs.I i) ]
   done;
-  check int "emitted counts drops" 10 (Events.emitted ());
-  check int "dropped = emitted - capacity" 6 (Events.dropped ());
-  let kept = Events.recorded () in
-  check int "ring keeps capacity events" 4 (List.length kept);
-  (* the survivors are the newest four, oldest first *)
-  List.iteri
-    (fun k e ->
-      check bool "payload of survivor" true
-        (Events.find e "i" = Some (Events.I (6 + k)));
-      check int "seq preserved" (6 + k) e.Events.seq)
-    kept
+  check int "emitted counts drops" (capacity + 6) (Obs.events_emitted ());
+  check int "dropped = emitted - capacity" 6 (Obs.events_dropped ());
+  let kept = Obs.events () in
+  check int "ring keeps capacity events" capacity (List.length kept);
+  (* the survivors are the newest, oldest first, with their seq *)
+  check bool "survivors are the newest, in order" true
+    (List.for_all Fun.id
+       (List.mapi
+          (fun k e -> Obs.arg e "i" = Some (Obs.I (6 + k)) && e.Obs.seq = 6 + k)
+          kept))
 
 let test_disabled_noop () =
   Obs.disable ();
-  Events.reset ();
-  Events.emit "x" [];
-  check int "no event recorded while disabled" 0 (Events.emitted ());
-  check int "nothing retained" 0 (List.length (Events.recorded ()))
-
-(* ------------------------------------------------------------------ *)
-(* JSONL round-trip                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_jsonl_roundtrip () =
-  with_obs @@ fun () ->
-  Events.emit ~cat:"fusion" "fusion.reject"
-    [ ("reason", Events.S "no_legal_band");
-      ("band_dims", Events.I 2);
-      ("ratio", Events.F 1.5);
-      ("integral_float", Events.F 3.0);
-      ("chosen", Events.B true);
-      ("quoted", Events.S "a \"b\"\nc")
-    ];
-  Events.emit ~ts_s:0.25 ~dur_s:0.125 ~cat:"runtime" "runtime.tile"
-    [ ("tile", Events.I 7) ];
-  let text = Events.to_jsonl () in
-  match Events.of_jsonl text with
-  | Error msg -> Alcotest.failf "round-trip parse failed: %s" msg
-  | Ok back ->
-      let orig = Events.recorded () in
-      check int "same count" (List.length orig) (List.length back);
-      List.iter2
-        (fun (a : Events.t) (b : Events.t) ->
-          check bool "events identical after round-trip" true (a = b))
-        orig back;
-      (* the int/float distinction is the load-bearing part *)
-      let e = List.hd back in
-      check bool "int stays int" true
-        (Events.find e "band_dims" = Some (Events.I 2));
-      check bool "integral float stays float" true
-        (Events.find e "integral_float" = Some (Events.F 3.0))
+  Obs.reset ();
+  Obs.event "x" [];
+  check int "no event recorded while disabled" 0 (Obs.events_emitted ());
+  check int "nothing retained" 0 (List.length (Obs.events ()))
 
 (* ------------------------------------------------------------------ *)
 (* Merged Chrome trace                                                 *)
@@ -86,17 +49,17 @@ let test_chrome_merge_ordering () =
   with_obs @@ fun () ->
   ignore
     (Obs.span "compile" (fun () ->
-         Events.emit ~cat:"fusion" "fusion.accept" [ ("prev", Events.S "S0") ];
-         Events.emit ~cat:"fusion" "fusion.reject"
-           [ ("reason", Events.S "no_legal_band") ];
+         Obs.event ~cat:"fusion" "fusion.accept" [ ("prev", Obs.S "S0") ];
+         Obs.event ~cat:"fusion" "fusion.reject"
+           [ ("reason", Obs.S "no_legal_band") ];
          let acc = ref 0.0 in
          for i = 1 to 10_000 do
            acc := !acc +. sqrt (float_of_int i)
          done;
          !acc));
-  Events.emit ~ts_s:1.0 ~dur_s:0.5 ~cat:"runtime" "runtime.tile"
-    [ ("tile", Events.I 0) ];
-  let trace = Events.chrome_trace () in
+  Obs.event ~ts_s:1.0 ~dur_s:0.5 ~cat:"runtime" "runtime.tile"
+    [ ("tile", Obs.I 0) ];
+  let trace = Obs.chrome_trace () in
   match Snapshot.Json.parse trace with
   | Error msg -> Alcotest.failf "invalid merged trace JSON: %s" msg
   | Ok j -> (
@@ -174,21 +137,21 @@ let test_explain_conv2d () =
   let ex = collect_conv2d () in
   Obs.disable ();
   let rejects =
-    List.filter (fun e -> e.Events.name = "fusion.reject") ex.Explain.ex_events
+    List.filter (fun e -> e.Obs.name = "fusion.reject") ex.Explain.ex_events
   in
   check bool "at least one rejected fusion candidate" true (rejects <> []);
   List.iter
     (fun e ->
-      match Events.find e "reason" with
-      | Some (Events.S r) -> check bool "reject carries a reason" true (r <> "")
+      match Obs.arg e "reason" with
+      | Some (Obs.S r) -> check bool "reject carries a reason" true (r <> "")
       | _ -> Alcotest.fail "fusion.reject without reason payload")
     rejects;
   check bool "tile-shape candidates recorded" true
     (List.exists
-       (fun e -> e.Events.name = "tile_shape.candidate")
+       (fun e -> e.Obs.name = "tile_shape.candidate")
        ex.Explain.ex_events);
   check bool "runtime timeline events recorded" true
-    (List.exists (fun e -> e.Events.name = "runtime.tile") ex.Explain.ex_events);
+    (List.exists (fun e -> e.Obs.name = "runtime.tile") ex.Explain.ex_events);
   let md = Explain.to_markdown ex in
   check bool "markdown names the failing predicate" true
     (contains md "no_legal_band");
@@ -295,8 +258,6 @@ let () =
         [ Alcotest.test_case "overflow drops oldest" `Quick test_ring_overflow;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop
         ] );
-      ( "jsonl",
-        [ Alcotest.test_case "round-trip exact" `Quick test_jsonl_roundtrip ] );
       ( "chrome",
         [ Alcotest.test_case "merged trace ordering" `Quick
             test_chrome_merge_ordering

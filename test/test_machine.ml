@@ -172,11 +172,8 @@ let test_interp_guard () =
          (Fusion.schedule p ~deps ~target_parallelism:1 Fusion.Minfuse))
   in
   let mem = Interp.alloc p in
-  let stats = Interp.run p ast mem in
   let n = Equake.size_nodes Equake.Test in
-  let executed =
-    Option.value ~default:0 (Hashtbl.find_opt stats.Interp.per_stmt "rupd")
-  in
+  let executed = Harness.instances_per_stmt p ast mem "rupd" in
   (* the dynamic guard executes strictly fewer instances than the affine
      superset, and at least the minimum row length *)
   check bool "guard prunes" true (executed < n * 16);

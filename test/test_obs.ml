@@ -1,161 +1,11 @@
 (* Tests for the lib/obs observability layer: span nesting and timing
    monotonicity, counter accumulation/reset, disabled-mode no-op
    behaviour, exact totals under concurrent domains, atomic reset, and
-   well-formedness of the Chrome trace / stats JSON. *)
+   well-formedness of the Chrome trace and the stats table. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
-
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON parser (validation + field access); no external deps.  *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-              Buffer.add_char b '?';
-              advance ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail "bad \\u escape"
-              done;
-              Buffer.add_char b '?'
-          | _ -> fail "bad escape");
-          go ()
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match float_of_string_opt text with
-    | Some f -> Num f
-    | None -> fail (Printf.sprintf "bad number %S" text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elems []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' ->
-        pos := !pos + 4;
-        Bool true
-    | Some 'f' ->
-        pos := !pos + 5;
-        Bool false
-    | Some 'n' ->
-        pos := !pos + 4;
-        Null
-    | Some ('0' .. '9' | '-') -> parse_number ()
-    | _ -> fail "unexpected character"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Disabled-mode no-op behaviour                                       *)
@@ -244,15 +94,15 @@ let test_reset_clears_everything () =
   Obs.count "c";
   Obs.observe "h" 5.0;
   Obs.span "s" (fun () -> ());
-  Events.emit "ev" [ ("k", Events.I 1) ];
-  check bool "events recorded" true (Events.recorded () <> []);
+  Obs.event "ev" [ ("k", Obs.I 1) ];
+  check bool "events recorded" true (Obs.events () <> []);
   Obs.reset ();
   Alcotest.(check (list (pair string int))) "counters cleared" [] (Obs.counters_alist ());
   check int "histograms cleared" 0 (List.length (Obs.histograms_alist ()));
   check int "span stats cleared" 0 (List.length (Obs.spans_alist ()));
   check int "trace events cleared" 0 (List.length (Obs.trace_events ()));
-  check int "event ring cleared" 0 (List.length (Events.recorded ()));
-  check int "emission counter cleared" 0 (Events.emitted ());
+  check int "event ring cleared" 0 (List.length (Obs.events ()));
+  check int "emission counter cleared" 0 (Obs.events_emitted ());
   Obs.disable ()
 
 (* ------------------------------------------------------------------ *)
@@ -313,11 +163,12 @@ let record_sample_data () =
   Obs.disable ()
 
 let test_chrome_trace_json () =
+  let open Json_util.Json in
   record_sample_data ();
-  let trace = Obs.chrome_trace () in
   let j =
-    try parse_json trace
-    with Bad_json msg -> Alcotest.failf "invalid trace JSON: %s" msg
+    match parse (Obs.chrome_trace ()) with
+    | Ok j -> j
+    | Error msg -> Alcotest.failf "invalid trace JSON: %s" msg
   in
   match member "traceEvents" j with
   | Some (Arr events) ->
@@ -360,25 +211,6 @@ let test_chrome_trace_json () =
         (s0 >= a0 -. 1.0 && s1 <= a1 +. 1.0)
   | _ -> Alcotest.fail "traceEvents array missing"
 
-let test_stats_json () =
-  record_sample_data ();
-  let j =
-    try parse_json (Obs.stats_json ())
-    with Bad_json msg -> Alcotest.failf "invalid stats JSON: %s" msg
-  in
-  (match member "counters" j with
-  | Some (Obj fields) ->
-      check bool "counter exported" true
-        (List.assoc_opt "some.counter" fields = Some (Num 10.0))
-  | _ -> Alcotest.fail "counters object missing");
-  (match member "spans" j with
-  | Some (Obj fields) ->
-      check bool "span exported" true (List.mem_assoc "phase.a" fields)
-  | _ -> Alcotest.fail "spans object missing");
-  match member "histograms" j with
-  | Some (Obj fields) -> check bool "histogram exported" true (List.mem_assoc "some.hist" fields)
-  | _ -> Alcotest.fail "histograms object missing"
-
 let test_stats_table () =
   record_sample_data ();
   let table = Obs.stats_table () in
@@ -412,7 +244,6 @@ let () =
       ( "exporters",
         [ Alcotest.test_case "chrome trace well-formed" `Quick
             test_chrome_trace_json;
-          Alcotest.test_case "stats json well-formed" `Quick test_stats_json;
           Alcotest.test_case "stats table" `Quick test_stats_table
         ] )
     ]

@@ -175,10 +175,7 @@ let test_dead_store_elimination () =
   in
   let v = Exp_util.ours ~tile:8 ~target:Core.Pipeline.Cpu p in
   let mem = Interp.alloc p in
-  let stats = Interp.run p v.Exp_util.ast mem in
-  let executed =
-    Option.value ~default:0 (Hashtbl.find_opt stats.Interp.per_stmt "P")
-  in
+  let executed = Harness.instances_per_stmt p v.Exp_util.ast mem "P" in
   (* the consumer needs A[0..32]; with 8-wide tiles the overlap border
      re-executes 3 instances (4 tiles x 9 points = 36), while the dead
      half of the 66-point domain is never computed *)
