@@ -201,46 +201,48 @@ let to_markdown t =
 
 (* --- JSON ------------------------------------------------------------ *)
 
+module Json = Json_util.Json
+
 let json_of_value = function
-  | Obs.S s -> Snapshot.Json.Str s
-  | Obs.I i -> Snapshot.Json.Num (float_of_int i)
-  | Obs.F f -> Snapshot.Json.Num f
-  | Obs.B b -> Snapshot.Json.Bool b
+  | Obs.S s -> Json.Str s
+  | Obs.I i -> Json.Num (float_of_int i)
+  | Obs.F f -> Json.Num f
+  | Obs.B b -> Json.Bool b
 
 let json_of_event (e : Obs.event) =
-  Snapshot.Json.Obj
-    [ ("seq", Snapshot.Json.Num (float_of_int e.Obs.seq));
-      ("ts", Snapshot.Json.Num e.Obs.ts_s);
-      ("dur", Snapshot.Json.Num e.Obs.dur_s);
-      ("cat", Snapshot.Json.Str e.Obs.cat);
-      ("name", Snapshot.Json.Str e.Obs.name);
-      ("args", Snapshot.Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) e.Obs.args))
+  Json.Obj
+    [ ("seq", Json.Num (float_of_int e.Obs.seq));
+      ("ts", Json.Num e.Obs.ts_s);
+      ("dur", Json.Num e.Obs.dur_s);
+      ("cat", Json.Str e.Obs.cat);
+      ("name", Json.Str e.Obs.name);
+      ("args", Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) e.Obs.args))
     ]
 
 let json_of_row (name, (r : Memprof.row)) =
-  Snapshot.Json.Obj
-    [ ("name", Snapshot.Json.Str name);
-      ("accesses", Snapshot.Json.Num (float_of_int r.Memprof.accesses));
-      ("reads", Snapshot.Json.Num (float_of_int r.Memprof.reads));
-      ("writes", Snapshot.Json.Num (float_of_int r.Memprof.writes));
-      ("dram", Snapshot.Json.Num (float_of_int r.Memprof.dram))
+  Json.Obj
+    [ ("name", Json.Str name);
+      ("accesses", Json.Num (float_of_int r.Memprof.accesses));
+      ("reads", Json.Num (float_of_int r.Memprof.reads));
+      ("writes", Json.Num (float_of_int r.Memprof.writes));
+      ("dram", Json.Num (float_of_int r.Memprof.dram))
     ]
 
 let json_of_hist h =
-  Snapshot.Json.Arr
+  Json.Arr
     (List.map
        (fun (b, c) ->
          let lo, hi = Memprof.bucket_bounds b in
-         Snapshot.Json.Obj
-           [ ("bucket", Snapshot.Json.Num (float_of_int b));
-             ("lo", Snapshot.Json.Num (float_of_int lo));
-             ("hi", Snapshot.Json.Num (float_of_int hi));
-             ("count", Snapshot.Json.Num (float_of_int c))
+         Json.Obj
+           [ ("bucket", Json.Num (float_of_int b));
+             ("lo", Json.Num (float_of_int lo));
+             ("hi", Json.Num (float_of_int hi));
+             ("count", Json.Num (float_of_int c))
            ])
        h)
 
 let to_json t =
-  let open Snapshot.Json in
+  let open Json in
   let num i = Num (float_of_int i) in
   let attribution =
     match t.ex_attribution with
@@ -307,4 +309,4 @@ let to_json t =
           ])
     ]
 
-let to_json_string t = Snapshot.Json.to_string (to_json t)
+let to_json_string t = Json.to_string (to_json t)

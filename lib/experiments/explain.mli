@@ -41,6 +41,6 @@ val collect :
 
 val to_markdown : t -> string
 
-val to_json : t -> Snapshot.Json.t
+val to_json : t -> Json_util.Json.t
 
 val to_json_string : t -> string

@@ -310,32 +310,6 @@ let compile_time () =
   in
   print_table ~header:[ "benchmark"; "minfuse"; "smartfuse"; "maxfuse"; "ours" ] rows
 
-(* ------------------------------------------------------------------ *)
-(* Verification                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let verify () =
-  section "Semantic cross-check (reduced sizes)";
-  List.iter
-    (fun (e : Registry.entry) ->
-      let p = e.Registry.small () in
-      let nv = naive p in
-      let all_ok =
-        List.for_all
-          (fun v -> check_against p nv v)
-          [ heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Minfuse p;
-            heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Smartfuse p;
-            heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Maxfuse p;
-            heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Hybridfuse p;
-            ours ~tile:8 ~target:Core.Pipeline.Cpu p;
-            polymage_version ~tile:8 ~target:Core.Pipeline.Cpu p;
-            halide_version ~tile:8 ~target:Core.Pipeline.Cpu p
-          ]
-      in
-      Printf.printf "  %-20s %s\n%!" e.Registry.reg_name
-        (if all_ok then "ok" else "MISMATCH"))
-    Registry.all
-
 let run_all () =
   table1 ();
   fig8 ();

@@ -32,8 +32,4 @@ val compile_time : unit -> unit
     wall-clock and scheduling-search work of each heuristic and of our
     flow, with maxfuse's budget blow-ups. *)
 
-val verify : unit -> unit
-(** Semantic cross-check: every version of every benchmark computes the
-    same live-out arrays as the naive schedule (reduced sizes). *)
-
 val run_all : unit -> unit

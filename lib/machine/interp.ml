@@ -91,7 +91,8 @@ let address_cells mem =
    statement table and stats record, so each instantiation is
    self-contained: workers of the parallel runtime create one per
    domain and execute tile subtrees against the shared memory without
-   touching any global (notably not Obs, which is not thread-safe). *)
+   touching any global. Obs is domain-safe, but one Obs lock taken per
+   access would serialise the workers. *)
 let executor ?hook (p : Prog.t) mem =
   let stats =
     { instances = 0;
@@ -189,7 +190,8 @@ let run ?hook (p : Prog.t) ast mem =
 
 let tile_runner ?hook (p : Prog.t) mem = executor ?hook p mem
 
-let arrays_equal ?(eps = 1e-6) m1 m2 name =
+let arrays_equal m1 m2 name =
+  let eps = 1e-6 in
   let a = read_array m1 name and b = read_array m2 name in
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps *. (1.0 +. Float.abs x)) a b

@@ -62,8 +62,11 @@ val tile_runner :
 (** A self-contained executor over a shared memory: returns a private
     stats record and a function executing an AST fragment under an
     initial loop-variable environment. Unlike {!run} it never touches
-    [Obs] (which is not thread-safe), so each domain of the parallel
-    runtime builds its own and runs tile bodies concurrently; the
-    caller merges stats after joining. *)
+    [Obs]: Obs is domain-safe, but one Obs lock taken per access would
+    serialise the workers. So each domain of the parallel runtime
+    builds its own and runs tile bodies concurrently; the caller merges
+    stats after joining. *)
 
-val arrays_equal : ?eps:float -> memory -> memory -> string -> bool
+val arrays_equal : memory -> memory -> string -> bool
+(** Same extent and every element equal within a relative tolerance of
+    [1e-6]. *)

@@ -1,6 +1,15 @@
-(* BENCH_<label>.json databases: a labelled list of snapshots plus an
-   exact metric-by-metric diff, powering the [bench/main.exe regress]
+(* BENCH_<label>.json databases: a labelled list of flat snapshots plus
+   an exact metric-by-metric diff, powering the [bench/main.exe regress]
    CI gate.
+
+   A snapshot is pure data: the machine-model and AST counts are
+   computed by the collector (bench/main.ml) and passed in, so this
+   module stays at the bottom of the dependency graph next to Obs. Only
+   [capture] reads live Obs state. The counters it adds include the Fm
+   memo-cache mirror counters (fm.cache.<name>.hit/.miss/.evict and
+   their aggregates), so cache effectiveness is gated alongside the
+   pass counters; the collector resets the caches per workload x flow
+   to keep them deterministic.
 
    Classification rules:
    - Every metric is an integer count and compares exactly: the
@@ -16,11 +25,26 @@
      AND fails the gate (silently lost coverage), while a metric only
      in the candidate is added and never gates. *)
 
-type t = { label : string; created : string; snapshots : Snapshot.t list }
+module Json = Json_util.Json
 
-(* Bumped whenever a snapshot field changes. [load] accepts no other
+type snapshot = { workload : string; flow : string; metrics : (string * int) list }
+
+type t = { label : string; created : string; snapshots : snapshot list }
+
+(* Bumped whenever the snapshot format changes. [load] accepts no other
    version, so an old baseline is refused rather than half-compared. *)
-let schema_version = 4
+let schema_version = 5
+
+let capture ~workload ~flow metrics =
+  let spans =
+    List.map
+      (fun (name, (calls, _total_s, _max_s)) -> ("span." ^ name ^ ".calls", calls))
+      (Obs.spans_alist ())
+  in
+  let counters =
+    List.map (fun (name, v) -> ("counter." ^ name, v)) (Obs.counters_alist ())
+  in
+  { workload; flow; metrics = List.sort compare (spans @ counters @ metrics) }
 
 let iso8601 time =
   let tm = Unix.gmtime time in
@@ -35,56 +59,85 @@ let make ~label snapshots =
 (* Load / save                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let to_json db =
-  Snapshot.Json.Obj
-    [ ("schema_version", Snapshot.Json.Num (float_of_int schema_version));
-      ("label", Snapshot.Json.Str db.label);
-      ("created", Snapshot.Json.Str db.created);
-      ( "snapshots",
-        Snapshot.Json.Arr (List.map Snapshot.to_json db.snapshots) )
+let num i = Json.Num (float_of_int i)
+
+let snapshot_to_json s =
+  Json.Obj
+    [ ("workload", Json.Str s.workload);
+      ("flow", Json.Str s.flow);
+      ("metrics", Json.Obj (List.map (fun (k, v) -> (k, num v)) s.metrics))
     ]
+
+let to_json db =
+  Json.Obj
+    [ ("schema_version", num schema_version);
+      ("label", Json.Str db.label);
+      ("created", Json.Str db.created);
+      ("snapshots", Json.Arr (List.map snapshot_to_json db.snapshots))
+    ]
+
+(* Decoding, spelled with a tiny error monad so every failure names the
+   missing or ill-typed field. *)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
+let field name j =
+  match Json.member name j with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing field %S" name)
+
+let str_field name j =
+  let* v = field name j in
+  match v with
+  | Json.Str s -> Ok s
+  | _ -> Error (Printf.sprintf "field %S is not a string" name)
+
+let int_of name = function
+  | Json.Num f -> Ok (int_of_float f)
+  | _ -> Error (Printf.sprintf "field %S is not a number" name)
+
+(* Decode each element with [f], keeping order. *)
+let map_result f l =
+  List.fold_left
+    (fun acc x ->
+      let* acc = acc in
+      let* y = f x in
+      Ok (y :: acc))
+    (Ok []) l
+  |> Result.map List.rev
+
+let snapshot_of_json j =
+  let* workload = str_field "workload" j in
+  let* flow = str_field "flow" j in
+  let* metrics_j = field "metrics" j in
+  let* metrics =
+    match metrics_j with
+    | Json.Obj kvs ->
+        map_result
+          (fun (k, v) ->
+            let* n = int_of k v in
+            Ok (k, n))
+          kvs
+    | _ -> Error "field \"metrics\" is not an object"
+  in
+  Ok { workload; flow; metrics }
+
 let of_json j =
-  let field name =
-    match Snapshot.Json.member name j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let* version_j = field "schema_version" in
-  let* version =
-    match version_j with
-    | Snapshot.Json.Num f -> Ok (int_of_float f)
-    | _ -> Error "field \"schema_version\" is not a number"
-  in
+  let* version_j = field "schema_version" j in
+  let* version = int_of "schema_version" version_j in
   if version <> schema_version then
     Error
       (Printf.sprintf "unsupported schema_version %d (expected %d)" version
          schema_version)
   else
-    let* label_j = field "label" in
-    let* label =
-      match label_j with
-      | Snapshot.Json.Str s -> Ok s
-      | _ -> Error "field \"label\" is not a string"
-    in
+    let* label = str_field "label" j in
     let created =
-      match Snapshot.Json.member "created" j with
-      | Some (Snapshot.Json.Str s) -> s
-      | _ -> ""
+      match Json.member "created" j with Some (Json.Str s) -> s | _ -> ""
     in
-    let* snaps_j = field "snapshots" in
+    let* snaps_j = field "snapshots" j in
     let* snapshots =
       match snaps_j with
-      | Snapshot.Json.Arr l ->
-          List.fold_left
-            (fun acc s ->
-              let* acc = acc in
-              let* snap = Snapshot.of_json s in
-              Ok (snap :: acc))
-            (Ok []) l
-          |> Result.map List.rev
+      | Json.Arr l -> map_result snapshot_of_json l
       | _ -> Error "field \"snapshots\" is not an array"
     in
     Ok { label; created; snapshots }
@@ -93,7 +146,7 @@ let save path db = Json_util.write_json path (to_json db)
 
 let load path =
   let* text = Json_util.read_file path in
-  match Snapshot.Json.parse text with
+  match Json.parse text with
   | Error msg -> Error (Printf.sprintf "%s: invalid JSON: %s" path msg)
   | Ok j -> (
       match of_json j with
@@ -118,38 +171,18 @@ type delta = {
 let classify_counter ~base ~cand =
   if cand > base then Regressed else if cand < base then Improved else Unchanged
 
-(* Flatten a snapshot into named integer metrics. *)
-let metrics_of (s : Snapshot.t) : (string * int) list =
-  List.map (fun (name, n) -> ("span." ^ name ^ ".calls", n)) s.Snapshot.span_calls
-  @ List.map (fun (name, v) -> ("counter." ^ name, v)) s.Snapshot.counters
-  @ List.concat_map
-      (fun (l : Snapshot.cache_level) ->
-        [ ("cache." ^ l.Snapshot.cl_name ^ ".hits", l.Snapshot.cl_hits);
-          ("cache." ^ l.Snapshot.cl_name ^ ".misses", l.Snapshot.cl_misses)
-        ])
-      s.Snapshot.cache_levels
-  @ [ ("cache.dram", s.Snapshot.dram_accesses);
-      ("traffic.read_bytes", s.Snapshot.traffic.Snapshot.tr_read_bytes);
-      ("traffic.write_bytes", s.Snapshot.traffic.Snapshot.tr_write_bytes);
-      ("traffic.staged_bytes", s.Snapshot.traffic.Snapshot.tr_staged_bytes);
-      ("ast.loops", s.Snapshot.ast.Snapshot.ast_loops);
-      ("ast.kernels", s.Snapshot.ast.Snapshot.ast_kernels);
-      ("ast.nodes", s.Snapshot.ast.Snapshot.ast_nodes)
-    ]
-
-let diff_snapshots (base : Snapshot.t) (cand : Snapshot.t) =
+let diff_snapshots base cand =
   let mk metric b c cls =
-    { d_workload = base.Snapshot.workload;
-      d_flow = base.Snapshot.flow;
+    { d_workload = base.workload;
+      d_flow = base.flow;
       d_metric = metric;
       d_base = b;
       d_cand = c;
       d_class = cls
     }
   in
-  let cm = metrics_of cand in
   let cand_tbl = Hashtbl.create 64 in
-  List.iter (fun (name, v) -> Hashtbl.replace cand_tbl name v) cm;
+  List.iter (fun (name, v) -> Hashtbl.replace cand_tbl name v) cand.metrics;
   let matched =
     List.map
       (fun (name, b) ->
@@ -158,21 +191,21 @@ let diff_snapshots (base : Snapshot.t) (cand : Snapshot.t) =
         | Some c ->
             Hashtbl.remove cand_tbl name;
             mk name b c (classify_counter ~base:b ~cand:c))
-      (metrics_of base)
+      base.metrics
   in
   let added =
     List.filter_map
       (fun (name, c) ->
         if Hashtbl.mem cand_tbl name then Some (mk name 0 c Added) else None)
-      cm
+      cand.metrics
   in
   matched @ added
 
 let diff ~base ~cand =
-  let key (s : Snapshot.t) = (s.Snapshot.workload, s.Snapshot.flow) in
-  let presence (s : Snapshot.t) b c cls =
-    { d_workload = s.Snapshot.workload;
-      d_flow = s.Snapshot.flow;
+  let key s = (s.workload, s.flow) in
+  let presence s b c cls =
+    { d_workload = s.workload;
+      d_flow = s.flow;
       d_metric = "snapshot.present";
       d_base = b;
       d_cand = c;
@@ -183,7 +216,7 @@ let diff ~base ~cand =
   List.iter (fun s -> Hashtbl.replace cand_tbl (key s) s) cand.snapshots;
   let matched =
     List.concat_map
-      (fun (b : Snapshot.t) ->
+      (fun b ->
         match Hashtbl.find_opt cand_tbl (key b) with
         | Some c ->
             Hashtbl.remove cand_tbl (key b);
@@ -195,7 +228,7 @@ let diff ~base ~cand =
   in
   let added =
     List.filter_map
-      (fun (c : Snapshot.t) ->
+      (fun c ->
         if Hashtbl.mem cand_tbl (key c) then Some (presence c 0 1 Added)
         else None)
       cand.snapshots
@@ -278,7 +311,7 @@ let summary_table deltas =
   Buffer.contents b
 
 let deltas_json deltas =
-  let open Snapshot.Json in
+  let open Json in
   let count cls = List.length (List.filter (fun d -> d.d_class = cls) deltas) in
   let delta_obj d =
     Obj

@@ -1,10 +1,17 @@
 (** [BENCH_<label>.json] snapshot databases and the metric-by-metric
     regression diff behind [bench/main.exe regress].
 
-    A database is a labelled, timestamped list of {!Snapshot.t} (one per
-    workload x flow). {!diff} pairs two databases by workload x flow,
-    flattens each snapshot into named integer metrics, and compares
-    every one exactly:
+    A snapshot is an exact fingerprint of the compiler on one
+    {e workload x flow}: one flat map from metric name to integer count.
+    {!capture} adds every per-pass span call count and Obs counter; the
+    collector ([bench/main.exe snapshot]) supplies the machine-model
+    counts (simulated cache levels, footprint traffic and its per-array
+    attribution, generated-AST sizes). Wall time is not recorded;
+    perf/ measures it.
+
+    A database is a labelled, timestamped list of snapshots. {!diff}
+    pairs two databases by workload x flow and compares every metric
+    exactly:
 
     - the compiler is deterministic, so any increase is a regression and
       any decrease an improvement. Intentional changes are absorbed by
@@ -17,12 +24,23 @@
       fails the gate (lost coverage), and a metric only in the
       candidate is {!Added} and never gates. *)
 
-type t = { label : string; created : string; snapshots : Snapshot.t list }
+type snapshot = {
+  workload : string;
+  flow : string;
+  metrics : (string * int) list;  (** sorted by name *)
+}
+
+type t = { label : string; created : string; snapshots : snapshot list }
 
 val schema_version : int
 (** Version of the database file format. {!load} accepts no other. *)
 
-val make : label:string -> Snapshot.t list -> t
+val capture : workload:string -> flow:string -> (string * int) list -> snapshot
+(** The given metrics plus [span.<name>.calls] and [counter.<name>] for
+    every span and counter {!Obs} recorded since the last [Obs.reset].
+    Call while observability is still enabled. *)
+
+val make : label:string -> snapshot list -> t
 (** Stamp a database with the current UTC time. *)
 
 val save : string -> t -> (unit, string) result

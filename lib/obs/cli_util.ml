@@ -7,18 +7,16 @@ let int_env name =
   | Some s -> int_of_string_opt s
   | None -> None
 
-let resolve_jobs ?(default = 1) = function
+let resolve_jobs = function
   | Some n -> max 1 n
   | None -> (
-      match int_env "MEMCOMP_JOBS" with
-      | Some n -> max 1 n
-      | None -> max 1 default)
+      match int_env "MEMCOMP_JOBS" with Some n -> max 1 n | None -> 1)
 
-let seed_env_default ?(default = 0) () =
-  match int_env "FUZZ_SEED" with Some n -> n | None -> default
+let seed_env_default () =
+  match int_env "FUZZ_SEED" with Some n -> n | None -> 0
 
-let seed_from_argv ?(default = 0) argv =
-  let env_seed = seed_env_default ~default () in
+let seed_from_argv argv =
+  let env_seed = seed_env_default () in
   let rec strip acc seed = function
     | [] -> (seed, List.rev acc)
     | "--seed" :: v :: rest -> (

@@ -11,20 +11,20 @@
     This module is the single home of those precedence rules, so a new
     subcommand (e.g. [memcomp tune]) inherits them by construction. *)
 
-val resolve_jobs : ?default:int -> int option -> int
+val resolve_jobs : int option -> int
 (** [resolve_jobs flag] is the worker-domain count: the flag value when
-    given, else [MEMCOMP_JOBS] when it parses as an integer, else
-    [default] (1). Always at least 1. *)
+    given, else [MEMCOMP_JOBS] when it parses as an integer, else 1.
+    Always at least 1. *)
 
-val seed_env_default : ?default:int -> unit -> int
+val seed_env_default : unit -> int
 (** The [FUZZ_SEED] environment value when it parses as an integer,
-    else [default] (0). *)
+    else 0. *)
 
-val seed_from_argv : ?default:int -> string array -> int * string array
+val seed_from_argv : string array -> int * string array
 (** Strip [--seed N] from an argv (so Alcotest or another parser never
     sees it) and return the effective seed: the last [--seed] flag wins
-    over the [FUZZ_SEED] environment variable, which wins over
-    [default]. Returns the stripped argv alongside. *)
+    over the [FUZZ_SEED] environment variable, which wins over 0.
+    Returns the stripped argv alongside. *)
 
 val shrink_from_argv : ?argv:string array -> unit -> bool * string array
 (** Strip [--shrink] from an argv and return whether shrinking is

@@ -1,7 +1,7 @@
 (* Shared JSON primitives for the observability layer.
 
    One escaper for every JSON producer in the tree (the Obs Chrome
-   trace, Snapshot files, tuning reports), one typed payload
+   trace, snapshot databases, tuning reports), one typed payload
    value, the minimal JSON document parser/printer, and the file I/O
    of the snapshot and tuning databases. Keeping them here, below Obs
    in the dependency graph, means every module escapes strings

@@ -1,9 +1,10 @@
 (** Worker-pool executor over a {!Tile_graph.t}, running tile bodies
     on OCaml 5 domains against a shared {!Interp.memory}.
 
-    Never touches [Obs] (which is not thread-safe): all metrics are
-    accumulated in per-worker slots and merged after the domains are
-    joined; the caller is responsible for reporting them. *)
+    Never touches [Obs]: Obs is domain-safe, but one Obs lock taken per
+    tile would serialise the workers. All metrics are accumulated in
+    per-worker slots and merged after the domains are joined; the
+    caller is responsible for reporting them. *)
 
 type violation = {
   v_tile : int;  (** the reading tile *)

@@ -100,22 +100,15 @@ let score_version p (v : Exp_util.version) =
        else float_of_int tiles /. float_of_int wavefronts)
   }
 
-let evaluate_one ?(verify = true) ~target p c =
+let evaluate_one ~target p c =
   Obs.count "tuner.evaluated";
   match
     Obs.span "tuner.evaluate" (fun () ->
         let v = version_of ~target p c in
-        let illegal =
-          if not verify then None
-          else
-            let report = Legality.check p (Exp_util.tree_of p v) in
-            match report.Legality.rep_violations with
-            | [] -> None
-            | vl :: _ -> Some (Legality.violation_string vl)
-        in
-        match illegal with
-        | Some msg -> Illegal msg
-        | None -> Scored (score_version p v))
+        let report = Legality.check p (Exp_util.tree_of p v) in
+        match report.Legality.rep_violations with
+        | vl :: _ -> Illegal (Legality.violation_string vl)
+        | [] -> Scored (score_version p v))
   with
   | Scored _ as s -> s
   | Illegal _ as i ->
@@ -126,20 +119,20 @@ let evaluate_one ?(verify = true) ~target p c =
       Obs.count "tuner.failed";
       Failed (Printexc.to_string e)
 
-let evaluate ?(jobs = 1) ?verify ~target p cands =
+let evaluate ?(jobs = 1) ~target p cands =
   let arr = Array.of_list cands in
   let n = Array.length arr in
   let out = Array.make n (Failed "not evaluated") in
   let jobs = max 1 (min jobs n) in
   if jobs <= 1 then
-    Array.iteri (fun i c -> out.(i) <- evaluate_one ?verify ~target p c) arr
+    Array.iteri (fun i c -> out.(i) <- evaluate_one ~target p c) arr
   else begin
     let next = Atomic.make 0 in
     let worker () =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          out.(i) <- evaluate_one ?verify ~target p arr.(i);
+          out.(i) <- evaluate_one ~target p arr.(i);
           loop ()
         end
       in

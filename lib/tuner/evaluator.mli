@@ -44,13 +44,12 @@ type outcome =
   | Failed of string  (** compilation raised *)
 
 val evaluate_one :
-  ?verify:bool -> target:Core.Pipeline.target -> Prog.t ->
-  Search_space.candidate -> outcome
-(** Compile, verify ([verify] defaults to [true]) and score one
-    candidate. Never raises: a raising compilation is [Failed]. *)
+  target:Core.Pipeline.target -> Prog.t -> Search_space.candidate -> outcome
+(** Compile, verify and score one candidate. Never raises: a raising
+    compilation is [Failed]. *)
 
 val evaluate :
-  ?jobs:int -> ?verify:bool -> target:Core.Pipeline.target -> Prog.t ->
+  ?jobs:int -> target:Core.Pipeline.target -> Prog.t ->
   Search_space.candidate list ->
   (Search_space.candidate * outcome) list
 (** Evaluate a batch, preserving input order. [jobs] > 1 fans the batch

@@ -83,7 +83,6 @@ type t = {
   recompute_ladder : float list;
   flows : flow list;
   scratchpad_bytes : int;
-  elem_bytes : int;
   max_extent : int;
   stageable_arrays : int;
 }
@@ -93,8 +92,7 @@ let default_ladder = [ 8; 16; 32; 64; 128 ]
 let default_recompute_ladder = [ 2.0; 4.0; 8.0 ]
 
 let make ?(ladder = default_ladder) ?(recompute_ladder = default_recompute_ladder)
-    ?(flows = all_flows) ?(scratchpad_bytes = 128 * 1024) ?(elem_bytes = 4)
-    (p : Prog.t) =
+    ?(flows = all_flows) ?(scratchpad_bytes = 128 * 1024) (p : Prog.t) =
   let dims =
     List.fold_left
       (fun acc (s : Prog.stmt) ->
@@ -114,7 +112,6 @@ let make ?(ladder = default_ladder) ?(recompute_ladder = default_recompute_ladde
     recompute_ladder = List.sort_uniq compare recompute_ladder;
     flows;
     scratchpad_bytes;
-    elem_bytes;
     max_extent;
     stageable_arrays
   }
@@ -140,7 +137,7 @@ let footprint_estimate sp tiles =
   let points =
     Array.fold_left (fun acc t -> acc * max 1 (min t sp.max_extent)) 1 tiles
   in
-  points * sp.elem_bytes * sp.stageable_arrays
+  points * Interp.elem_bytes * sp.stageable_arrays
 
 let fits sp c = footprint_estimate sp c.cd_tiles <= sp.scratchpad_bytes
 
@@ -274,4 +271,4 @@ let signature sp =
     (String.concat "," (List.map string_of_int sp.ladder))
     (String.concat "," (List.map (Printf.sprintf "%g") sp.recompute_ladder))
     (String.concat "," (List.map flow_name sp.flows))
-    sp.scratchpad_bytes sp.elem_bytes sp.max_extent sp.stageable_arrays
+    sp.scratchpad_bytes Interp.elem_bytes sp.max_extent sp.stageable_arrays

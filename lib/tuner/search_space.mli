@@ -44,17 +44,16 @@ type t = {
   recompute_ladder : float list;  (** recompute-limit values for [Ours] *)
   flows : flow list;
   scratchpad_bytes : int;  (** staging budget for the footprint bound *)
-  elem_bytes : int;
   max_extent : int;  (** largest concrete array extent (clamps tiles) *)
   stageable_arrays : int;  (** intermediate arrays, >= 1 for the bound *)
 }
 
 val make :
   ?ladder:int list -> ?recompute_ladder:float list -> ?flows:flow list ->
-  ?scratchpad_bytes:int -> ?elem_bytes:int -> Prog.t -> t
+  ?scratchpad_bytes:int -> Prog.t -> t
 (** Derive a space from a program. Defaults: ladder [8..128], recompute
-    ladder [2; 4; 8], all four flows, 128 KiB scratchpad, 4-byte
-    elements. *)
+    ladder [2; 4; 8], all four flows, 128 KiB scratchpad. Elements are
+    {!Interp.elem_bytes} wide. *)
 
 val default_candidate : t -> candidate
 (** The pipeline's own defaults: [Ours], every tile edge 32 (clamped
@@ -63,7 +62,7 @@ val default_candidate : t -> candidate
 
 val footprint_estimate : t -> int array -> int
 (** Estimated staged bytes per tile for a tile-size vector: the product
-    of extent-clamped tile edges times [elem_bytes] times
+    of extent-clamped tile edges times {!Interp.elem_bytes} times
     [stageable_arrays]. *)
 
 val fits : t -> candidate -> bool

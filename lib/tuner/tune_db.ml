@@ -68,10 +68,11 @@ let prog_canonical (p : Prog.t) =
 
 let prog_digest p = Digest.to_hex (Digest.string (prog_canonical p))
 
-let key ~target p sp =
+(* Every tune targets the CPU model. The key still ends in the target
+   name, so the keys of stored databases stay valid. *)
+let key p sp =
   let raw =
-    Printf.sprintf "%s|%s|%s" (prog_digest p) (Search_space.signature sp)
-      target
+    Printf.sprintf "%s|%s|cpu" (prog_digest p) (Search_space.signature sp)
   in
   Digest.to_hex (Digest.string raw)
 

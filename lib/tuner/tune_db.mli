@@ -34,9 +34,9 @@ val schema_version : int
 
 val empty : t
 
-val key : target:string -> Prog.t -> Search_space.t -> string
+val key : Prog.t -> Search_space.t -> string
 (** The content-addressed tuning key (workload digest x space signature
-    x target). *)
+    x the CPU target). *)
 
 val prog_digest : Prog.t -> string
 (** MD5 hex digest of the canonical program rendering alone. *)

@@ -84,7 +84,7 @@ let record acc (c, outcome) =
       end
 
 (* Evaluate at most [budget - evaluated] unseen candidates, in order. *)
-let eval_batch acc ~jobs ~budget ~target p cands =
+let eval_batch acc ~jobs ~budget p cands =
   let fresh =
     List.filter
       (fun c ->
@@ -100,7 +100,7 @@ let eval_batch acc ~jobs ~budget ~target p cands =
   let fresh = List.filteri (fun i _ -> i < room) fresh in
   if fresh = [] then []
   else begin
-    let results = Evaluator.evaluate ~jobs ~target p fresh in
+    let results = Evaluator.evaluate ~jobs ~target:Core.Pipeline.Cpu p fresh in
     List.iter (record acc) results;
     results
   end
@@ -114,17 +114,17 @@ let scored_of results =
 (* Strategies                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_exhaustive acc ~jobs ~budget ~target p cands =
-  ignore (eval_batch acc ~jobs ~budget ~target p cands)
+let run_exhaustive acc ~jobs ~budget p cands =
+  ignore (eval_batch acc ~jobs ~budget p cands)
 
 (* Coordinate descent: move to the best improving neighbor, stop when a
    whole neighborhood fails to improve (or the budget runs out). *)
-let run_greedy acc ~jobs ~budget ~target p sp default_scored =
+let run_greedy acc ~jobs ~budget p sp default_scored =
   let rec descend (current, current_score) =
     if acc.evaluated >= budget then ()
     else
       let moves = Search_space.neighbors sp current in
-      let results = eval_batch acc ~jobs ~budget ~target p moves in
+      let results = eval_batch acc ~jobs ~budget p moves in
       match scored_of results with
       | [] -> ()
       | scored ->
@@ -154,28 +154,23 @@ let shuffle st arr =
     arr.(j) <- tmp
   done
 
-let run_random acc ~jobs ~budget ~seed ~target p cands =
+let run_random acc ~jobs ~budget ~seed p cands =
   let st = Random.State.make [| seed; 0x7e5 |] in
   let arr = Array.of_list cands in
   shuffle st arr;
-  ignore (eval_batch acc ~jobs ~budget ~target p (Array.to_list arr))
+  ignore (eval_batch acc ~jobs ~budget p (Array.to_list arr))
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let target_name = function
-  | Core.Pipeline.Cpu -> "cpu"
-  | Core.Pipeline.Gpu -> "gpu"
-  | Core.Pipeline.Npu -> "npu"
-
 let tune ?(strategy = Greedy) ?(budget = 48) ?(jobs = 1) ?(seed = 0) ?space
-    ?db_path ?(force = false) ?(target = Core.Pipeline.Cpu) (p : Prog.t) =
+    ?db_path ?(force = false) (p : Prog.t) =
   let sp =
     match space with Some sp -> sp | None -> Search_space.make p
   in
   let budget = max 1 budget in
-  let key = Tune_db.key ~target:(target_name target) p sp in
+  let key = Tune_db.key p sp in
   let db =
     match db_path with
     | None -> Ok Tune_db.empty
@@ -206,7 +201,7 @@ let tune ?(strategy = Greedy) ?(budget = 48) ?(jobs = 1) ?(seed = 0) ?space
           let acc = new_acc () in
           let default = Search_space.default_candidate sp in
           let default_r =
-            eval_batch acc ~jobs ~budget ~target p [ default ]
+            eval_batch acc ~jobs ~budget p [ default ]
           in
           (match scored_of default_r with
           | [] ->
@@ -223,9 +218,9 @@ let tune ?(strategy = Greedy) ?(budget = 48) ?(jobs = 1) ?(seed = 0) ?space
           | (dc, ds) :: _ ->
               acc.default_score <- Some ds;
               (match strategy with
-              | Exhaustive -> run_exhaustive acc ~jobs ~budget ~target p cands
-              | Greedy -> run_greedy acc ~jobs ~budget ~target p sp (dc, ds)
-              | Random -> run_random acc ~jobs ~budget ~seed ~target p cands);
+              | Exhaustive -> run_exhaustive acc ~jobs ~budget p cands
+              | Greedy -> run_greedy acc ~jobs ~budget p sp (dc, ds)
+              | Random -> run_random acc ~jobs ~budget ~seed p cands);
               let best_c, best_s =
                 match acc.best with Some b -> b | None -> (dc, ds)
               in

@@ -34,12 +34,11 @@ val tune :
   ?space:Search_space.t ->
   ?db_path:string ->
   ?force:bool ->
-  ?target:Core.Pipeline.target ->
   Prog.t ->
   (result, string) Stdlib.result
-(** Tune one program. Defaults: [Greedy], budget 48 evaluations, 1 job,
-    seed 0, space derived by {!Search_space.make}, no database, CPU
-    target. With [db_path], a stored entry under the same
+(** Tune one program for the CPU model. Defaults: [Greedy], budget 48
+    evaluations, 1 job, seed 0, space derived by {!Search_space.make},
+    no database. With [db_path], a stored entry under the same
     content-addressed key answers instantly unless [force] re-tunes
     (the fresh entry then replaces the stored one). [Error] when the
     database cannot be read or written, or when the default

@@ -64,7 +64,11 @@ let mutations (sp : Random_pipeline.spec) =
   in
   drops @ to_1d @ stage_tweaks @ extents
 
-let shrink ?(max_evals = 400) spec ~predicate =
+(* Bound on predicate evaluations: each one typically recompiles the
+   program through a full flow. *)
+let max_evals = 400
+
+let shrink spec ~predicate =
   Obs.span "verify.shrink" @@ fun () ->
   let evals = ref 0 in
   let try_pred sp =

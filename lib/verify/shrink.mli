@@ -14,14 +14,11 @@ type outcome = {
 }
 
 val shrink :
-  ?max_evals:int ->
-  Random_pipeline.spec ->
-  predicate:(Random_pipeline.spec -> bool) ->
-  outcome
+  Random_pipeline.spec -> predicate:(Random_pipeline.spec -> bool) -> outcome
 (** [predicate sp] must return [true] when the failure still reproduces
     on [Random_pipeline.build_spec sp]; exceptions count as [false].
-    [max_evals] (default 400) bounds predicate evaluations — each one
-    typically recompiles the program through a full flow. *)
+    At most 400 predicate evaluations are spent — each one typically
+    recompiles the program through a full flow. *)
 
 val repro_ml : ?seed:int -> note:string -> Random_pipeline.spec -> string
 (** Contents of a self-contained OCaml repro file for the spec. *)

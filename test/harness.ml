@@ -39,7 +39,7 @@ let instances_per_stmt p ast mem =
    Alcotest parses it. Returns (seed, argv-for-alcotest). The
    precedence rules live in the shared Cli_util (lib/obs), so the test
    binaries and the drivers can never drift apart. *)
-let seed_from_argv ?default () = Cli_util.seed_from_argv ?default Sys.argv
+let seed_from_argv () = Cli_util.seed_from_argv Sys.argv
 
 (* `--shrink` (or FUZZ_SHRINK=1) turns on spec minimization after a
    fuzz mismatch: the failing seed's spec is greedily reduced with

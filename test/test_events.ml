@@ -8,6 +8,8 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
+module Json = Json_util.Json
+
 let with_obs f =
   Obs.reset ();
   Obs.enable ();
@@ -60,19 +62,19 @@ let test_chrome_merge_ordering () =
   Obs.event ~ts_s:1.0 ~dur_s:0.5 ~cat:"runtime" "runtime.tile"
     [ ("tile", Obs.I 0) ];
   let trace = Obs.chrome_trace () in
-  match Snapshot.Json.parse trace with
+  match Json.parse trace with
   | Error msg -> Alcotest.failf "invalid merged trace JSON: %s" msg
   | Ok j -> (
-      match Snapshot.Json.member "traceEvents" j with
-      | Some (Snapshot.Json.Arr events) ->
+      match Json.member "traceEvents" j with
+      | Some (Json.Arr events) ->
           let ph e =
-            match Snapshot.Json.member "ph" e with
-            | Some (Snapshot.Json.Str p) -> p
+            match Json.member "ph" e with
+            | Some (Json.Str p) -> p
             | _ -> Alcotest.fail "event without phase"
           in
           let num k e =
-            match Snapshot.Json.member k e with
-            | Some (Snapshot.Json.Num f) -> f
+            match Json.member k e with
+            | Some (Json.Num f) -> f
             | _ -> Alcotest.failf "event without numeric %s" k
           in
           let timed = List.filter (fun e -> ph e <> "M") events in
@@ -81,8 +83,8 @@ let test_chrome_merge_ordering () =
             (List.exists
                (fun e ->
                  ph e = "X"
-                 && Snapshot.Json.member "name" e
-                    = Some (Snapshot.Json.Str "compile"))
+                 && Json.member "name" e
+                    = Some (Json.Str "compile"))
                timed);
           check int "two instant decision events" 2
             (List.length (List.filter (fun e -> ph e = "i") timed));
@@ -90,8 +92,8 @@ let test_chrome_merge_ordering () =
             (List.exists
                (fun e ->
                  ph e = "X"
-                 && Snapshot.Json.member "name" e
-                    = Some (Snapshot.Json.Str "runtime.tile"))
+                 && Json.member "name" e
+                    = Some (Json.Str "runtime.tile"))
                timed);
           (* merged stream is sorted by timestamp *)
           let rec sorted = function
@@ -104,8 +106,8 @@ let test_chrome_merge_ordering () =
             List.find
               (fun e ->
                 ph e = "X"
-                && Snapshot.Json.member "name" e
-                   = Some (Snapshot.Json.Str "compile"))
+                && Json.member "name" e
+                   = Some (Json.Str "compile"))
               timed
           in
           let s0 = num "ts" span and s1 = num "ts" span +. num "dur" span in
@@ -159,16 +161,16 @@ let test_explain_conv2d () =
     (contains md "## Per-array traffic attribution");
   check bool "markdown has the reuse histogram" true
     (contains md "## Reuse-distance histogram");
-  match Snapshot.Json.parse (Explain.to_json_string ex) with
+  match Json.parse (Explain.to_json_string ex) with
   | Error msg -> Alcotest.failf "explain JSON invalid: %s" msg
   | Ok j ->
       check bool "json carries events" true
-        (match Snapshot.Json.member "events" j with
-        | Some (Snapshot.Json.Arr (_ :: _)) -> true
+        (match Json.member "events" j with
+        | Some (Json.Arr (_ :: _)) -> true
         | _ -> false);
       check bool "json carries attribution" true
-        (match Snapshot.Json.member "attribution" j with
-        | Some (Snapshot.Json.Arr (_ :: _)) -> true
+        (match Json.member "attribution" j with
+        | Some (Json.Arr (_ :: _)) -> true
         | _ -> false)
 
 (* ------------------------------------------------------------------ *)

@@ -1,44 +1,73 @@
-(* Tests for the perf-snapshot subsystem (lib/obs/snapshot.ml,
-   lib/obs/bench_db.ml): JSON round-trips, capture from live obs state,
-   exact diff classification, and the exit-code contract of the
-   regression gate. *)
+(* Tests for the perf-snapshot database (lib/obs/bench_db.ml): JSON
+   round-trips, capture from live obs state, exact diff classification
+   of every metric (per-array attribution included), and the exit-code
+   contract of the regression gate. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
+module Json = Json_util.Json
+
 (* ------------------------------------------------------------------ *)
 (* Fixtures                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let sample_snapshot ?(workload = "conv2d") ?(flow = "ours") ?(fm = 321) () =
-  { Snapshot.workload;
+let sample_snapshot ?(workload = "conv2d") ?(flow = "ours") ?(fm = 321)
+    ?(attribution = [ ("B", 4096, 0); ("C", 0, 784) ]) () =
+  { Bench_db.workload;
     flow;
-    span_calls = [ ("pipeline.compile", 1); ("tile_shapes.construct", 3) ];
-    counters = [ ("bmap.apply_range", 17); ("fm.eliminate", fm) ];
-    cache_levels =
-      [ { Snapshot.cl_name = "L1"; cl_hits = 1000; cl_misses = 20 };
-        { Snapshot.cl_name = "L2"; cl_hits = 15; cl_misses = 5 }
-      ];
-    dram_accesses = 5;
-    traffic =
-      { Snapshot.tr_read_bytes = 4096;
-        tr_write_bytes = 784;
-        tr_staged_bytes = 256
-      };
-    ast = { Snapshot.ast_loops = 10; ast_kernels = 2; ast_nodes = 18 };
-    attribution = [ ("B", 4096, 0); ("C", 0, 784) ]
+    metrics =
+      List.sort compare
+        ([ ("span.pipeline.compile.calls", 1);
+           ("span.tile_shapes.construct.calls", 3);
+           ("counter.bmap.apply_range", 17);
+           ("counter.fm.eliminate", fm);
+           ("cache.L1.hits", 1000);
+           ("cache.L1.misses", 20);
+           ("cache.L2.hits", 15);
+           ("cache.L2.misses", 5);
+           ("cache.dram", 5);
+           ("traffic.read_bytes", 4096);
+           ("traffic.write_bytes", 784);
+           ("traffic.staged_bytes", 256);
+           ("ast.loops", 10);
+           ("ast.kernels", 2);
+           ("ast.nodes", 18)
+         ]
+        @ List.concat_map
+            (fun (a, r, w) ->
+              [ ("attribution." ^ a ^ ".read_bytes", r);
+                ("attribution." ^ a ^ ".write_bytes", w)
+              ])
+            attribution)
   }
 
 let sample_db ?label ?(snapshots = [ sample_snapshot () ]) () =
   Bench_db.make ~label:(Option.value ~default:"test" label) snapshots
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
+(* Load a database file holding [text]. *)
+let load_text text =
+  let path = Filename.temp_file "bench_db_test" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc text;
+      close_out oc;
+      Bench_db.load path)
 
 (* ------------------------------------------------------------------ *)
 (* JSON round-trips                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_json_value_roundtrip () =
-  let open Snapshot.Json in
+  let open Json in
   let j =
     Obj
       [ ("s", Str "a\"b\\c\nd");
@@ -53,7 +82,7 @@ let test_json_value_roundtrip () =
   | Error msg -> Alcotest.failf "reparse failed: %s" msg
 
 let test_json_parse_errors () =
-  let open Snapshot.Json in
+  let open Json in
   List.iter
     (fun s ->
       match parse s with
@@ -61,16 +90,15 @@ let test_json_parse_errors () =
       | Error _ -> ())
     [ "{"; "{\"a\":}"; "[1,]"; "tru"; "\"unterminated"; "{} trailing"; "" ]
 
-let test_snapshot_roundtrip () =
-  let s = sample_snapshot () in
-  match Snapshot.of_string (Snapshot.to_string s) with
-  | Ok s' -> check bool "snapshot round-trip is exact" true (s = s')
-  | Error msg -> Alcotest.failf "of_string failed: %s" msg
-
 let test_snapshot_missing_field () =
-  match Snapshot.of_string "{\"workload\":\"x\"}" with
+  match
+    load_text
+      (Printf.sprintf
+         "{\"schema_version\":%d,\"label\":\"x\",\"snapshots\":[{\"workload\":\"x\"}]}"
+         Bench_db.schema_version)
+  with
   | Ok _ -> Alcotest.fail "expected an error for a truncated snapshot"
-  | Error msg -> check bool "error names the field" true (String.length msg > 0)
+  | Error msg -> check bool "error names the field" true (contains msg "\"flow\"")
 
 let test_db_roundtrip_via_file () =
   let db = sample_db ~snapshots:[ sample_snapshot (); sample_snapshot ~flow:"smartfuse" () ] () in
@@ -86,32 +114,24 @@ let test_db_roundtrip_via_file () =
             (db'.Bench_db.snapshots = db.Bench_db.snapshots)
       | Error msg -> Alcotest.failf "load failed: %s" msg)
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
-
 (* Only the current schema loads: a newer file and an older one (schema
-   2, which carried wall times) are both refused, naming both versions. *)
+   4, which nested the counts in typed records) are both refused,
+   naming both versions. *)
 let test_db_schema_version_check () =
   List.iter
     (fun version ->
-      let path = Filename.temp_file "bench_db_test" ".json" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          let oc = open_out path in
-          Printf.fprintf oc
-            "{\"schema_version\":%d,\"label\":\"x\",\"snapshots\":[]}" version;
-          close_out oc;
-          match Bench_db.load path with
-          | Ok _ -> Alcotest.failf "expected schema %d to be refused" version
-          | Error msg ->
-              check bool "names the file's version" true
-                (contains msg (Printf.sprintf "schema_version %d" version));
-              check bool "names the supported version" true
-                (contains msg (string_of_int Bench_db.schema_version))))
-    [ 99; 2 ]
+      match
+        load_text
+          (Printf.sprintf
+             "{\"schema_version\":%d,\"label\":\"x\",\"snapshots\":[]}" version)
+      with
+      | Ok _ -> Alcotest.failf "expected schema %d to be refused" version
+      | Error msg ->
+          check bool "names the file's version" true
+            (contains msg (Printf.sprintf "schema_version %d" version));
+          check bool "names the supported version" true
+            (contains msg (string_of_int Bench_db.schema_version)))
+    [ 99; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Capture from live obs state                                         *)
@@ -123,19 +143,14 @@ let test_capture_reads_obs () =
   ignore (Obs.span "pass.alpha" (fun () -> 1 + 1));
   Obs.count "ctr.x";
   Obs.add "ctr.x" 4;
-  let s =
-    Snapshot.capture ~workload:"w" ~flow:"f" ~cache_levels:[]
-      ~dram_accesses:0
-      ~traffic:
-        { Snapshot.tr_read_bytes = 0; tr_write_bytes = 0; tr_staged_bytes = 0 }
-      ~ast:{ Snapshot.ast_loops = 0; ast_kernels = 0; ast_nodes = 1 }
-      ~attribution:[]
-  in
+  let s = Bench_db.capture ~workload:"w" ~flow:"f" [ ("ast.nodes", 1) ] in
   Obs.disable ();
+  let m = s.Bench_db.metrics in
   check bool "span calls captured" true
-    (List.assoc_opt "pass.alpha" s.Snapshot.span_calls = Some 1);
-  check bool "counter captured" true
-    (List.assoc_opt "ctr.x" s.Snapshot.counters = Some 5)
+    (List.assoc_opt "span.pass.alpha.calls" m = Some 1);
+  check bool "counter captured" true (List.assoc_opt "counter.ctr.x" m = Some 5);
+  check bool "supplied metric kept" true (List.assoc_opt "ast.nodes" m = Some 1);
+  check bool "sorted by name" true (m = List.sort compare m)
 
 (* ------------------------------------------------------------------ *)
 (* Classification                                                      *)
@@ -168,6 +183,21 @@ let test_diff_counter_drift () =
   check bool "counter drift regresses exactly" true
     (List.map (fun d -> d.Bench_db.d_metric) regressed
     = [ "counter.fm.eliminate" ]);
+  check int "gate fails" 1 (Bench_db.gate deltas)
+
+(* Traffic moved between arrays with the totals unchanged: the
+   per-array attribution gates like every other count. *)
+let test_diff_attribution_drift () =
+  let base = sample_db () in
+  let cand =
+    sample_db
+      ~snapshots:[ sample_snapshot ~attribution:[ ("B", 4032, 0); ("C", 64, 784) ] () ]
+      ()
+  in
+  let deltas = Bench_db.diff ~base ~cand in
+  check bool "only the receiving array regresses" true
+    (List.map (fun d -> d.Bench_db.d_metric) (Bench_db.regressions deltas)
+    = [ "attribution.C.read_bytes" ]);
   check int "gate fails" 1 (Bench_db.gate deltas)
 
 let test_diff_missing_pair () =
@@ -206,7 +236,8 @@ let test_diff_removed_metric_gates () =
   let base_snap = sample_snapshot () in
   let cand_snap =
     { base_snap with
-      Snapshot.counters = [ ("bmap.apply_range", 17) ] (* fm.eliminate gone *)
+      Bench_db.metrics =
+        List.remove_assoc "counter.fm.eliminate" base_snap.Bench_db.metrics
     }
   in
   let base = sample_db ~snapshots:[ base_snap ] () in
@@ -228,7 +259,8 @@ let test_diff_added_metric_passes () =
   let base_snap = sample_snapshot () in
   let cand_snap =
     { base_snap with
-      Snapshot.counters = ("tuner.evaluated", 12) :: base_snap.Snapshot.counters
+      Bench_db.metrics =
+        ("counter.tuner.evaluated", 12) :: base_snap.Bench_db.metrics
     }
   in
   let base = sample_db ~snapshots:[ base_snap ] () in
@@ -259,14 +291,13 @@ let test_deltas_json_wellformed () =
   let base = sample_db () in
   let cand = sample_db ~snapshots:[ sample_snapshot ~fm:322 () ] () in
   let deltas = Bench_db.diff ~base ~cand in
-  match Snapshot.Json.parse (Bench_db.deltas_json deltas) with
+  match Json.parse (Bench_db.deltas_json deltas) with
   | Error msg -> Alcotest.failf "deltas JSON invalid: %s" msg
   | Ok j -> (
-      match Snapshot.Json.member "summary" j with
+      match Json.member "summary" j with
       | Some summary ->
           check bool "regressed count exported" true
-            (Snapshot.Json.member "regressed" summary
-            = Some (Snapshot.Json.Num 1.0))
+            (Json.member "regressed" summary = Some (Json.Num 1.0))
       | None -> Alcotest.fail "summary object missing")
 
 let () =
@@ -276,8 +307,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors
         ] );
       ( "snapshot",
-        [ Alcotest.test_case "exact round-trip" `Quick test_snapshot_roundtrip;
-          Alcotest.test_case "missing field" `Quick test_snapshot_missing_field;
+        [ Alcotest.test_case "missing field" `Quick test_snapshot_missing_field;
           Alcotest.test_case "capture reads obs" `Quick test_capture_reads_obs
         ] );
       ( "db",
@@ -290,6 +320,8 @@ let () =
       ( "diff",
         [ Alcotest.test_case "unchanged tree passes" `Quick test_diff_unchanged;
           Alcotest.test_case "counter drift gates" `Quick test_diff_counter_drift;
+          Alcotest.test_case "attribution drift gates" `Quick
+            test_diff_attribution_drift;
           Alcotest.test_case "missing pair gates" `Quick test_diff_missing_pair;
           Alcotest.test_case "added pair passes" `Quick
             test_diff_added_is_not_regression;
