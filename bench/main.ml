@@ -7,7 +7,7 @@
      bench/main.exe table1 fig8 ... run selected experiments (ablations
                                     included)
      bench/main.exe snapshot --out FILE [--workloads a,b,c] [--small]
-                             [--seed N] [--label L]
+                             [--label L]
                                     write a BENCH_*.json snapshot database
                                     (one flat map of exact counts per
                                     workload x flow)
@@ -100,7 +100,6 @@ let snapshot_cmd args =
   let workloads = ref None in
   let small = ref false in
   let label = ref None in
-  let seed = ref None in
   let rec parse = function
     | [] -> ()
     | "--out" :: f :: rest ->
@@ -112,24 +111,12 @@ let snapshot_cmd args =
     | "--small" :: rest ->
         small := true;
         parse rest
-    | "--seed" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some s -> seed := Some s
-        | None -> usage_error (Printf.sprintf "--seed expects an integer, got %S" n));
-        parse rest
     | "--label" :: l :: rest ->
         label := Some l;
         parse rest
     | a :: _ -> usage_error (Printf.sprintf "snapshot: unknown argument %s" a)
   in
   parse args;
-  (* flag > FUZZ_SEED, shared precedence with the fuzz harness; the
-     registry seed only moves when one of them is given *)
-  (match !seed with
-  | Some s -> Random_pipeline.set_registry_seed s
-  | None ->
-      if Sys.getenv_opt "FUZZ_SEED" <> None then
-        Random_pipeline.set_registry_seed (Cli_util.seed_env_default ()));
   let out =
     match !out with
     | Some f -> f

@@ -70,9 +70,9 @@ let version_of flow ~tile prog =
   | F_polymage -> Exp_util.polymage_version ~tile ~target:Core.Pipeline.Cpu prog
   | F_halide -> Exp_util.halide_version ~tile ~target:Core.Pipeline.Cpu prog
 
-(* --stats / --trace FILE observability flags (plus the MEMCOMP_TRACE
-   env fallback). Instrumentation is off unless one of them is given,
-   so the default output stays byte-identical. *)
+(* --stats / --trace FILE observability flags. Instrumentation is off
+   unless one of them is given, so the default output stays
+   byte-identical. *)
 let stats_arg =
   Arg.(
     value & flag
@@ -89,13 +89,9 @@ let trace_arg =
         ~doc:
           "Write a Chrome trace_event JSON file of the nested compiler-phase \
            spans and the compiler's decision events (load in about://tracing \
-           or Perfetto). The MEMCOMP_TRACE environment variable is used as a \
-           fallback destination.")
+           or Perfetto).")
 
 let obs_begin ?(json = false) ~stats ~trace () =
-  let trace =
-    match trace with Some _ -> trace | None -> Sys.getenv_opt "MEMCOMP_TRACE"
-  in
   if stats || trace <> None then begin
     Obs.reset ();
     Obs.enable ()
@@ -134,18 +130,13 @@ let flow_arg =
     & info [ "f"; "flow" ] ~docv:"FLOW"
         ~doc:"naive | minfuse | smartfuse | maxfuse | hybridfuse | ours | polymage | halide.")
 
-(* Shared worker-count knob: --jobs N, with the MEMCOMP_JOBS
-   environment variable as fallback, defaulting to 1. *)
 let jobs_arg =
   Arg.(
-    value
-    & opt (some int) None
+    value & opt positive_int 1
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the parallel runtime (fallback: the \
-           MEMCOMP_JOBS environment variable; default 1).")
-
-let resolve_jobs = Cli_util.resolve_jobs
+          "Worker domains (explain: the parallel runtime; tune: candidate \
+           evaluation).")
 
 let exit_race = 3
 (* distinct exit code when the tile race checker fires *)
@@ -196,12 +187,8 @@ let compile_cmd =
     let v = version_of flow ~tile prog in
     Printf.printf "workload %s, flow %s (compiled in %.3fs)\n\n" workload
       v.Exp_util.ver_name v.Exp_util.compile_s;
-    (match (tree_flag, v.Exp_util.flavor) with
-    | true, Exp_util.Ours c ->
-        print_endline (Schedule_tree.to_string c.Core.Pipeline.tree)
-    | true, Exp_util.Baseline (b, _) ->
-        print_endline (Schedule_tree.to_string b.Core.Pipeline.b_tree)
-    | _ -> ());
+    if tree_flag then
+      print_endline (Schedule_tree.to_string (Exp_util.tree_of prog v));
     print_endline (Ast.to_string v.Exp_util.ast);
     finish ()
   in
@@ -221,13 +208,12 @@ let run_cmd =
   let run_parallel =
     Arg.(
       value
-      & opt ~vopt:(Some 0) (some int) None
+      & opt (some positive_int) None
       & info [ "run-parallel" ] ~docv:"N"
           ~doc:
             "Also execute the compiled pipeline on the parallel tile-graph \
-             runtime with $(docv) worker domains (0 or no value: use the \
-             --jobs / MEMCOMP_JOBS knob) and check the result against the \
-             sequential interpreter oracle.")
+             runtime with $(docv) worker domains and check the result \
+             against the sequential interpreter oracle.")
   in
   let race_check =
     Arg.(
@@ -237,7 +223,7 @@ let run_cmd =
             "Enable the debug-mode tile race checker during --run-parallel; \
              detected violations exit with code 3.")
   in
-  let run workload tile small flow threads par jobs race_check stats trace =
+  let run workload tile small flow threads par race_check stats trace =
     let finish = obs_begin ~stats ~trace () in
     let prog = prog_of workload small in
     let v = version_of flow ~tile prog in
@@ -257,8 +243,7 @@ let run_cmd =
     let status =
       match par with
       | None -> 0
-      | Some n ->
-          let jobs = if n > 0 then n else resolve_jobs jobs in
+      | Some jobs ->
           let ok, raced = run_parallel_report prog v ~jobs ~race_check in
           if raced then exit_race else if ok then 0 else 2
     in
@@ -269,7 +254,7 @@ let run_cmd =
     (Cmd.info "run" ~doc)
     Term.(
       const run $ workload_arg $ tile_arg $ small_arg $ flow_arg $ threads
-      $ run_parallel $ jobs_arg $ race_check $ stats_arg $ trace_arg)
+      $ run_parallel $ race_check $ stats_arg $ trace_arg)
 
 let compare_cmd =
   let doc =
@@ -333,7 +318,6 @@ let explain_cmd =
   let run workload tile small flow jobs json stats trace =
     let finish = obs_begin ~json ~stats ~trace () in
     let prog = prog_of workload small in
-    let jobs = resolve_jobs jobs in
     (* collect enables Obs itself: the report is built from its events *)
     let ex =
       Explain.collect ~tile ~jobs ~workload
@@ -469,21 +453,15 @@ let tune_cmd =
   in
   let seed_arg =
     Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "PRNG seed for the random strategy (fallback: the FUZZ_SEED \
-             environment variable; default 0).")
+      value & opt int 0
+      & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed for the random strategy.")
   in
   let db_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "db" ] ~docv:"PATH"
-          ~doc:
-            "Tuning database file (fallback: the MEMCOMP_TUNE_DB environment \
-             variable; no default — without it nothing is persisted).")
+          ~doc:"Tuning database file; without it nothing is persisted.")
   in
   let force_arg =
     Arg.(
@@ -500,16 +478,7 @@ let tune_cmd =
   let run workload small strategy budget jobs seed db force json stats trace =
     let finish = obs_begin ~json ~stats ~trace () in
     let prog = prog_of workload small in
-    let jobs = resolve_jobs jobs in
-    let seed =
-      match seed with Some s -> s | None -> Cli_util.seed_env_default ()
-    in
-    let db_path =
-      match db with Some _ -> db | None -> Sys.getenv_opt "MEMCOMP_TUNE_DB"
-    in
-    match
-      Tuner.tune ~strategy ~budget ~jobs ~seed ?db_path ~force prog
-    with
+    match Tuner.tune ~strategy ~budget ~jobs ~seed ?db_path:db ~force prog with
     | Error msg ->
         Printf.eprintf "memcomp tune: %s\n%!" msg;
         finish ();

@@ -320,11 +320,6 @@ let plan ?(fusable = fun (_ : Spaces.t) -> true) ?recompute_limit (p : Prog.t)
     standalone = List.sort compare !standalone
   }
 
-let fused_into plan id =
-  List.filter_map
-    (fun r -> if List.mem id r.fused_ids then Some r.tiling else None)
-    plan.roots
-
 (* ------------------------------------------------------------------ *)
 (* Algorithm 2: tree construction                                      *)
 (* ------------------------------------------------------------------ *)

@@ -36,6 +36,3 @@ val to_tree : Prog.t -> spaces:Spaces.t list -> plan -> Schedule_tree.t
     tile bands split from point bands, extension + sequence + filter
     nodes for fused intermediates, "skipped" marks on their original
     subtrees, and "kernel" marks on root tile bands. *)
-
-val fused_into : plan -> int -> Tile_shapes.tiling list
-(** The tilings a space is fused into (empty when standalone). *)

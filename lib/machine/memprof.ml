@@ -29,7 +29,6 @@ type t = {
   mutable time : int;
   mutable cold : int;
   hist : int array;
-  per_array_hist : (string, int array) Hashtbl.t;
 }
 
 let create () =
@@ -40,8 +39,7 @@ let create () =
     bit = Array.make 1024 0;
     time = 0;
     cold = 0;
-    hist = Array.make n_buckets 0;
-    per_array_hist = Hashtbl.create 16
+    hist = Array.make n_buckets 0
   }
 
 (* --- Fenwick tree ---------------------------------------------------- *)
@@ -115,15 +113,6 @@ let hook t ~kernel:_ ~stmt ~inst:_ ~array ~cell:_ ~addr ~write =
       let d = bit_sum t t.time - bit_sum t prev in
       let b = bucket_of d in
       t.hist.(b) <- t.hist.(b) + 1;
-      let h =
-        match Hashtbl.find_opt t.per_array_hist array with
-        | Some h -> h
-        | None ->
-            let h = Array.make n_buckets 0 in
-            Hashtbl.add t.per_array_hist array h;
-            h
-      in
-      h.(b) <- h.(b) + 1;
       bit_add t prev (-1)
   | None -> t.cold <- t.cold + 1);
   Hashtbl.replace t.last line now;
@@ -148,14 +137,7 @@ let cold_misses t = t.cold
 
 let distinct_lines t = Hashtbl.length t.last
 
-let nonzero hist =
-  Array.to_list hist
+let reuse_histogram t =
+  Array.to_list t.hist
   |> List.mapi (fun i c -> (i, c))
   |> List.filter (fun (_, c) -> c > 0)
-
-let reuse_histogram t = nonzero t.hist
-
-let reuse_histogram_of t name =
-  match Hashtbl.find_opt t.per_array_hist name with
-  | Some h -> nonzero h
-  | None -> []

@@ -1,5 +1,5 @@
-(** Memory-hierarchy profiler: an {!Interp.hook} that builds
-    reuse-distance histograms and per-array / per-statement traffic
+(** Memory-hierarchy profiler: an {!Interp.hook} that builds a
+    reuse-distance histogram and per-array / per-statement traffic
     attribution from the interpreted access trace.
 
     Reuse distance is measured at cache-line (64 B) granularity: the
@@ -44,10 +44,6 @@ val reuse_histogram : t -> (int * int) list
 (** Non-empty log2 buckets of the global reuse-distance histogram as
     [(bucket, count)]; see {!bucket_bounds} for the distance range a
     bucket covers. Cold accesses are excluded. *)
-
-val reuse_histogram_of : t -> string -> (int * int) list
-(** Per-array reuse-distance histogram (distances still measured in the
-    global interleaved trace). *)
 
 val bucket_bounds : int -> int * int
 (** [(lo, hi)] inclusive distance range of a histogram bucket:

@@ -130,9 +130,6 @@ let domain_card t s = Bset.card (Bset.bind_params s.domain t.params)
 let writers_of t array =
   List.filter (fun s -> s.write.array = array) t.stmts
 
-let readers_of t array =
-  List.filter (fun s -> List.exists (fun a -> a.array = array) s.reads) t.stmts
-
 let intermediate_arrays t =
   t.arrays
   |> List.filter_map (fun a ->
@@ -145,8 +142,6 @@ let intermediate_arrays t =
 let eval_index_with_params params { aff; div } pt =
   let v = eval_aff_with_params params aff pt in
   if div = 1 then v else Vec.floor_div v div
-
-let eval_index idx pt = eval_index_with_params [] idx pt
 
 let validate t =
   let fail fmt = Printf.ksprintf invalid_arg fmt in

@@ -87,15 +87,8 @@ val domain_card : t -> stmt -> int
 
 val writers_of : t -> string -> stmt list
 
-val readers_of : t -> string -> stmt list
-
 val intermediate_arrays : t -> string list
 (** Arrays written by the program that are not live-out. *)
-
-val eval_index : index -> int array -> int
-(** Concrete array subscript for a statement instance (parameters must
-    not occur; bind them into the domain/indices beforehand or avoid
-    parameters in index expressions). *)
 
 val eval_index_with_params : (string * int) list -> index -> int array -> int
 

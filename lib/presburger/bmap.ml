@@ -11,8 +11,6 @@ let make space cstrs =
   List.iter (fun c -> assert (Cstr.nvars c = w)) cstrs;
   { space; cstrs = Fm.canonical ~nvars:w cstrs }
 
-let universe space = make space []
-
 let empty_map space = make space [ Fm.false_cstr (width_of_space space) ]
 
 let n_params m = Array.length m.space.Space.params
@@ -174,31 +172,6 @@ let apply_set s m =
   let restricted = intersect_domain m s in
   range restricted
 
-let preimage_set s m =
-  Obs.count "bmap.preimage_set";
-  let restricted = intersect_range m s in
-  domain restricted
-
-let identity (sp : Space.set_space) =
-  let nd = Array.length sp.dims in
-  let np = Array.length sp.params in
-  let mspace : Space.map_space =
-    { params = sp.params;
-      in_tuple = sp.tuple;
-      in_dims = sp.dims;
-      out_tuple = sp.tuple;
-      out_dims = sp.dims
-    }
-  in
-  let cstrs =
-    List.init nd (fun d ->
-        let coef = Array.make (np + nd + nd) 0 in
-        coef.(np + d) <- 1;
-        coef.(np + nd + d) <- -1;
-        Cstr.eq coef 0)
-  in
-  make mspace cstrs
-
 let from_affs ?(params = []) ~in_tuple ~in_dims ~out_tuple outs =
   let params = Array.of_list params in
   let in_dims_a = Array.of_list in_dims in
@@ -243,44 +216,11 @@ let affine_on m ~col k cst kind =
 
 let fix_in_dim m d v = add_cstrs m [ affine_on m ~col:(n_params m + d) 1 (-v) Cstr.Eq ]
 
-let fix_out_dim m d v =
-  add_cstrs m [ affine_on m ~col:(n_params m + n_in m + d) 1 (-v) Cstr.Eq ]
-
-let sample m =
-  assert (n_params m = 0);
-  match Bset.sample (to_set_view m) with
-  | None -> None
-  | Some pt ->
-      let ni = n_in m in
-      Some (Array.sub pt 0 ni, Array.sub pt ni (n_out m))
-
 let bind_params m values =
   let v = Bset.bind_params (to_set_view m) values in
   of_set_view
     { m.space with Space.params = (Bset.space v).Space.params }
     v
-
-let insert_out_dims m ~pos ~names =
-  let v = Bset.insert_dims (to_set_view m) ~pos:(n_in m + pos) ~names in
-  let out_dims =
-    Array.concat
-      [ Array.sub m.space.Space.out_dims 0 pos;
-        names;
-        Array.sub m.space.Space.out_dims pos (n_out m - pos)
-      ]
-  in
-  of_set_view { m.space with Space.out_dims } v
-
-let project_out_dims m ~first ~count =
-  let v = Bset.project_dims (to_set_view m) ~first:(n_in m + first) ~count in
-  let out_dims =
-    Array.append
-      (Array.sub m.space.Space.out_dims 0 first)
-      (Array.sub m.space.Space.out_dims (first + count) (n_out m - first - count))
-  in
-  of_set_view { m.space with Space.out_dims } v
-
-let gist_simplify m = of_set_view m.space (Bset.gist_simplify (to_set_view m))
 
 (* Constraint-wise union hull (isl's "simple hull"): keep the
    constraints of each operand that are valid for the other. Sound

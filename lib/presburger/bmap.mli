@@ -7,8 +7,6 @@ val make : Space.map_space -> Cstr.t list -> t
 (** Constraints are canonicalized at construction, exactly as in
     {!Bset.make}. *)
 
-val universe : Space.map_space -> t
-
 val empty_map : Space.map_space -> t
 
 val n_params : t -> int
@@ -66,11 +64,6 @@ val apply_range_approx : t -> t -> t
 val apply_set : Bset.t -> t -> Bset.t
 (** Image of a set under a map. *)
 
-val preimage_set : Bset.t -> t -> Bset.t
-(** [preimage_set s m] = points whose image intersects [s]. *)
-
-val identity : Space.set_space -> t
-
 val from_affs :
   ?params:string list -> in_tuple:string -> in_dims:string list ->
   out_tuple:string -> (string * Aff.t) list -> t
@@ -89,19 +82,7 @@ val of_set_view : Space.map_space -> Bset.t -> t
 
 val fix_in_dim : t -> int -> int -> t
 
-val fix_out_dim : t -> int -> int -> t
-
-val sample : t -> (int array * int array) option
-(** Requires [n_params = 0]. *)
-
 val bind_params : t -> (string * int) list -> t
-
-val insert_out_dims : t -> pos:int -> names:string array -> t
-
-val project_out_dims : t -> first:int -> count:int -> t
-(** Exact projection of a slice of the output dimensions. *)
-
-val gist_simplify : t -> t
 
 val simple_hull : t -> t -> t
 (** Constraint-wise union hull (isl's simple hull): a sound

@@ -13,8 +13,6 @@ let make space cstrs =
   List.iter (fun c -> assert (Cstr.nvars c = w)) cstrs;
   { space; cstrs = Fm.canonical ~nvars:w cstrs }
 
-let universe space = make space []
-
 let false_of space = Fm.false_cstr (width_of_space space)
 
 let empty_set space = make space [ false_of space ]
@@ -28,8 +26,6 @@ let width s = width_of_space s.space
 let space s = s.space
 
 let tuple s = s.space.Space.tuple
-
-let add_cstrs s cstrs = make s.space (cstrs @ s.cstrs)
 
 let align_params s new_params =
   let old_params = s.space.Space.params in
@@ -54,10 +50,6 @@ let unify_params a b =
   (align_params a merged, align_params b merged)
 
 let set_tuple s tuple = { s with space = { s.space with Space.tuple } }
-
-let rename_dims s names =
-  assert (Array.length names = n_dims s);
-  { s with space = { s.space with Space.dims = names } }
 
 let is_empty s =
   Obs.count "bset.is_empty";
@@ -137,22 +129,6 @@ let project_dims_approx s ~first ~count =
   try project_dims s ~first ~count
   with Fm.Inexact _ -> project_dims_gen ~exact:false s ~first ~count
 
-let insert_dims s ~pos ~names =
-  let count = Array.length names in
-  if count = 0 then s
-  else begin
-    let np = n_params s in
-    let cstrs = List.map (fun c -> Cstr.insert_vars c ~pos:(np + pos) ~count) s.cstrs in
-    let dims =
-      Array.concat
-        [ Array.sub s.space.Space.dims 0 pos;
-          names;
-          Array.sub s.space.Space.dims pos (n_dims s - pos)
-        ]
-    in
-    make { s.space with Space.dims } cstrs
-  end
-
 let bind_params s values =
   let keep_params =
     Array.to_list s.space.Space.params
@@ -182,23 +158,6 @@ let bind_params s values =
   in
   make { s.space with Space.params = keep_params } (List.map conv s.cstrs)
 
-let affine_on_dim s d k cst kind =
-  let coef = Array.make (width s) 0 in
-  coef.(n_params s + d) <- k;
-  { Cstr.kind; coef; cst }
-
-let fix_dim s d v = add_cstrs s [ affine_on_dim s d 1 (-v) Cstr.Eq ]
-
-let lower_bound_dim s d v = add_cstrs s [ affine_on_dim s d 1 (-v) Cstr.Ge ]
-
-let upper_bound_dim s d v = add_cstrs s [ affine_on_dim s d (-1) v Cstr.Ge ]
-
-let eq_dims s i j =
-  let coef = Array.make (width s) 0 in
-  coef.(n_params s + i) <- 1;
-  coef.(n_params s + j) <- -1;
-  add_cstrs s [ { Cstr.kind = Cstr.Eq; coef; cst = 0 } ]
-
 let contains s pt =
   assert (n_params s = 0);
   assert (Array.length pt = n_dims s);
@@ -207,8 +166,6 @@ let contains s pt =
 let sample s =
   assert (n_params s = 0);
   Fm.sample ~nvars:(n_dims s) s.cstrs
-
-let dim_bounds s d = Fm.bounds_for ~var:(n_params s + d) s.cstrs
 
 (* Constant per-dimension bounds obtained by projecting away the other
    dimensions. Requires n_params = 0 and boundedness. *)

@@ -12,8 +12,6 @@ val make : Space.set_space -> Cstr.t list -> t
     canonical false constraint), so structurally equal sets print
     identically and share Fm memo-cache keys. *)
 
-val universe : Space.set_space -> t
-
 val empty_set : Space.set_space -> t
 
 val n_params : t -> int
@@ -27,8 +25,6 @@ val space : t -> Space.set_space
 
 val tuple : t -> string
 
-val add_cstrs : t -> Cstr.t list -> t
-
 val align_params : t -> string array -> t
 (** Re-express the set over the given parameter list, which must contain
     every parameter of the set. *)
@@ -36,8 +32,6 @@ val align_params : t -> string array -> t
 val unify_params : t -> t -> t * t
 
 val set_tuple : t -> string -> t
-
-val rename_dims : t -> string array -> t
 
 val is_empty : t -> bool
 
@@ -60,23 +54,9 @@ val project_dims_approx : t -> first:int -> count:int -> t
     decisions (disjointness implies true disjointness) and for
     upper-bounding footprint volumes. *)
 
-val insert_dims : t -> pos:int -> names:string array -> t
-
 val bind_params : t -> (string * int) list -> t
 (** Substitute concrete values for the listed parameters; the bound
     parameters disappear. Unlisted parameters remain. *)
-
-val fix_dim : t -> int -> int -> t
-(** [fix_dim s d v] adds the constraint [dim_d = v]. *)
-
-val lower_bound_dim : t -> int -> int -> t
-(** Adds [dim_d >= v]. *)
-
-val upper_bound_dim : t -> int -> int -> t
-(** Adds [dim_d <= v]. *)
-
-val eq_dims : t -> int -> int -> t
-(** Adds [dim_i = dim_j]. *)
 
 val contains : t -> int array -> bool
 (** Membership of a dims-length point; requires [n_params = 0]. *)
@@ -95,11 +75,6 @@ val box_hull : t -> (int * int) array
 val box_card : t -> int
 (** Number of points of the enclosing box (the over-approximation used by
     the modelled PolyMage strategy). *)
-
-val dim_bounds : t -> int -> (int * Cstr.t) list * (int * Cstr.t) list
-(** Lower and upper bound constraints for a dimension, for code
-    generation; coefficients as in {!Fm.bounds_for} with the variable
-    index offset by the parameter count already applied. *)
 
 val gist_simplify : t -> t
 (** Remove redundant constraints (feasibility-based). *)

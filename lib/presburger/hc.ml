@@ -45,8 +45,6 @@ let fresh_id () =
   incr next_id;
   !next_id
 
-let n_interned_cstrs () = with_lock (fun () -> Hashtbl.length cstr_tbl)
-
 let n_interned_systems () = with_lock (fun () -> Hashtbl.length sys_tbl)
 
 let intern_cstr_unlocked (c : Cstr.t) =
@@ -57,8 +55,6 @@ let intern_cstr_unlocked (c : Cstr.t) =
       let entry = (c, fresh_id ()) in
       Hashtbl.add cstr_tbl c entry;
       entry
-
-let cstr c = with_lock (fun () -> fst (intern_cstr_unlocked c))
 
 (* Physical-identity index of canonical representative lists. Lists
    registered here are exactly the [sys_cstrs] of systems interned via

@@ -25,12 +25,7 @@ val find_rep : Cstr.t list -> sys option
 (** The system whose [sys_cstrs] IS (pointer-equal to) the argument,
     if it was interned via {!intern_rep}. *)
 
-val cstr : Cstr.t -> Cstr.t
-(** The unique representative of a single constraint. *)
-
 val clear : unit -> unit
 (** Drop the interning tables (sharing is lost, ids are not reused). *)
-
-val n_interned_cstrs : unit -> int
 
 val n_interned_systems : unit -> int

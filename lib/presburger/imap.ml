@@ -18,18 +18,6 @@ let compatible (a : Bmap.t) (b : Bmap.t) =
   && Bmap.n_in a = Bmap.n_in b
   && Bmap.n_out a = Bmap.n_out b
 
-let intersect a b =
-  List.concat_map
-    (fun pa ->
-      List.filter_map
-        (fun pb ->
-          if compatible pa pb then
-            let i = Bmap.intersect pa pb in
-            if Bmap.is_empty i then None else Some i
-          else None)
-        b)
-    a
-
 let subtract a b =
   List.concat_map
     (fun pa ->
@@ -45,21 +33,6 @@ let subtract a b =
 let is_empty t = List.for_all Bmap.is_empty t
 
 let is_subset a b = is_empty (subtract a b)
-
-let is_equal a b = is_subset a b && is_subset b a
-
-let in_tuples t =
-  List.fold_left
-    (fun acc (p : Bmap.t) ->
-      let tp = p.Bmap.space.Space.in_tuple in
-      if List.mem tp acc then acc else acc @ [ tp ])
-    [] t
-
-let filter_in_tuple t name =
-  List.filter (fun (p : Bmap.t) -> p.Bmap.space.Space.in_tuple = name) t
-
-let filter_out_tuple t name =
-  List.filter (fun (p : Bmap.t) -> p.Bmap.space.Space.out_tuple = name) t
 
 let coalesce t =
   let non_empty = List.filter (fun p -> not (Bmap.is_empty p)) t in
@@ -88,8 +61,6 @@ let hull_compress t =
   in
   List.fold_left insert [] t |> List.rev
 
-let domain t = Iset.of_bsets (List.map Bmap.domain t)
-
 let range t = Iset.of_bsets (List.map Bmap.range t)
 
 let reverse t = List.map Bmap.reverse t
@@ -109,8 +80,6 @@ let apply_range_gen f r s =
         s)
     r
 
-let apply_range r s = apply_range_gen Bmap.apply_range r s
-
 let apply_range_approx r s = apply_range_gen Bmap.apply_range_approx r s
 
 let apply_set s m =
@@ -125,22 +94,6 @@ let apply_set s m =
              then
                let img = Bmap.apply_set set_piece mp in
                if Bset.is_empty img then None else Some img
-             else None)
-           m)
-       (Iset.pieces s))
-
-let preimage_set s m =
-  Iset.of_bsets
-    (List.concat_map
-       (fun set_piece ->
-         List.filter_map
-           (fun (mp : Bmap.t) ->
-             if
-               mp.Bmap.space.Space.out_tuple = Bset.tuple set_piece
-               && Bmap.n_out mp = Bset.n_dims set_piece
-             then
-               let pre = Bmap.preimage_set set_piece mp in
-               if Bset.is_empty pre then None else Some pre
              else None)
            m)
        (Iset.pieces s))
@@ -174,8 +127,6 @@ let intersect_range t s =
           else None)
         (Iset.pieces s))
     t
-
-let identity sp = [ Bmap.identity sp ]
 
 let lex_piece (sp : Space.set_space) ~eq_upto ~strict_at =
   let nd = Array.length sp.dims in

@@ -15,21 +15,11 @@ val union : t -> t -> t
 
 val union_all : t list -> t
 
-val intersect : t -> t -> t
-
 val subtract : t -> t -> t
 
 val is_empty : t -> bool
 
 val is_subset : t -> t -> bool
-
-val is_equal : t -> t -> bool
-
-val in_tuples : t -> string list
-
-val filter_in_tuple : t -> string -> t
-
-val filter_out_tuple : t -> string -> t
 
 val coalesce : t -> t
 
@@ -37,14 +27,9 @@ val hull_compress : t -> t
 (** Merge all pieces over the same tuple pair into their simple hull
     (sound over-approximation, exact for convex unions). *)
 
-val domain : t -> Iset.t
-
 val range : t -> Iset.t
 
 val reverse : t -> t
-
-val apply_range : t -> t -> t
-(** Per-piece composition on matching tuples: [{i->k : exists j}]. *)
 
 val apply_range_approx : t -> t -> t
 (** Composition with per-piece rational fallback (see
@@ -52,13 +37,9 @@ val apply_range_approx : t -> t -> t
 
 val apply_set : Iset.t -> t -> Iset.t
 
-val preimage_set : Iset.t -> t -> Iset.t
-
 val intersect_domain : t -> Iset.t -> t
 
 val intersect_range : t -> Iset.t -> t
-
-val identity : Space.set_space -> t
 
 val lex_lt : Space.set_space -> t
 (** Strict lexicographic order on a single tuple space. *)

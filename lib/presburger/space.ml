@@ -38,12 +38,6 @@ let param_remap ~old_params ~new_params =
 
 let same_set_space a b = a.tuple = b.tuple && Array.length a.dims = Array.length b.dims
 
-let domain_of_map (m : map_space) =
-  { params = m.params; tuple = m.in_tuple; dims = m.in_dims }
-
-let range_of_map (m : map_space) =
-  { params = m.params; tuple = m.out_tuple; dims = m.out_dims }
-
 let reverse_map (m : map_space) =
   { m with
     in_tuple = m.out_tuple;

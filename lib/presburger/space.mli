@@ -32,8 +32,4 @@ val param_remap : old_params:string array -> new_params:string array -> int arra
 val same_set_space : set_space -> set_space -> bool
 (** Same tuple name and dimension count (dimension names are ignored). *)
 
-val domain_of_map : map_space -> set_space
-
-val range_of_map : map_space -> set_space
-
 val reverse_map : map_space -> map_space

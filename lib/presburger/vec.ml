@@ -1,7 +1,5 @@
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
-let gcd_list l = List.fold_left gcd 0 l
-
 let gcd_array a = Array.fold_left gcd 0 a
 
 let floor_div a b =
@@ -12,15 +10,11 @@ let ceil_div a b =
   assert (b > 0);
   if a >= 0 then (a + b - 1) / b else -((-a) / b)
 
-let add u v = Array.mapi (fun i x -> x + v.(i)) u
-
 let sub u v = Array.mapi (fun i x -> x - v.(i)) u
 
 let scale k u = Array.map (fun x -> k * x) u
 
 let combine a u b v = Array.mapi (fun i x -> (a * x) + (b * v.(i))) u
-
-let is_zero u = Array.for_all (fun x -> x = 0) u
 
 let insert_zeros u ~pos ~count =
   let n = Array.length u in

@@ -3,8 +3,6 @@
 val gcd : int -> int -> int
 (** [gcd a b] is the non-negative greatest common divisor; [gcd 0 0 = 0]. *)
 
-val gcd_list : int list -> int
-
 val gcd_array : int array -> int
 
 val ceil_div : int -> int -> int
@@ -13,16 +11,12 @@ val ceil_div : int -> int -> int
 val floor_div : int -> int -> int
 (** [floor_div a b] is [floor (a / b)] for [b > 0], exact on negatives. *)
 
-val add : int array -> int array -> int array
-
 val sub : int array -> int array -> int array
 
 val scale : int -> int array -> int array
 
 val combine : int -> int array -> int -> int array -> int array
 (** [combine a u b v] is [a*u + b*v] componentwise. *)
-
-val is_zero : int array -> bool
 
 val insert_zeros : int array -> pos:int -> count:int -> int array
 (** Insert [count] zero entries starting at index [pos]. *)

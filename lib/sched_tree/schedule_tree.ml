@@ -25,11 +25,6 @@ let mk_band ~partial ~permutable ~coincident =
   assert (Array.length coincident = n_members);
   { partial; n_members; permutable; coincident }
 
-let band_out_dims b =
-  match Imap.pieces b.partial with
-  | [] -> [||]
-  | m :: _ -> (Bmap.space m).Space.out_dims
-
 let floor_div_map ~tuple_in ~dims ~tuple_out ~tile_sizes =
   let nd = Array.length dims in
   assert (Array.length tile_sizes = nd);
@@ -77,8 +72,6 @@ let tile_band b ~tile_sizes ~prefix =
     }
   in
   (tile_band, b)
-
-let stmts_of_filter f = Iset.tuples f
 
 let domain_of = function
   | Domain (d, _) -> d

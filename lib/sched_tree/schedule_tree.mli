@@ -31,9 +31,6 @@ type t =
 val mk_band :
   partial:Imap.t -> permutable:bool -> coincident:bool array -> band
 
-val band_out_dims : band -> string array
-(** Names of the schedule dimensions (from the first piece). *)
-
 val floor_div_map :
   tuple_in:string -> dims:string array -> tuple_out:string ->
   tile_sizes:int array -> Bmap.t
@@ -42,8 +39,6 @@ val floor_div_map :
 val tile_band : band -> tile_sizes:int array -> prefix:string -> band * band
 (** Split a band into a tile band (iterating among tiles, schedule dims
     renamed with [prefix]) and a point band (the original). *)
-
-val stmts_of_filter : Iset.t -> string list
 
 val domain_of : t -> Iset.t
 (** The domain node's set (raises if the root is not a domain node). *)

@@ -100,11 +100,11 @@ let score_version p (v : Exp_util.version) =
        else float_of_int tiles /. float_of_int wavefronts)
   }
 
-let evaluate_one ~target p c =
+let evaluate_one p c =
   Obs.count "tuner.evaluated";
   match
     Obs.span "tuner.evaluate" (fun () ->
-        let v = version_of ~target p c in
+        let v = version_of ~target:Core.Pipeline.Cpu p c in
         let report = Legality.check p (Exp_util.tree_of p v) in
         match report.Legality.rep_violations with
         | vl :: _ -> Illegal (Legality.violation_string vl)
@@ -119,20 +119,20 @@ let evaluate_one ~target p c =
       Obs.count "tuner.failed";
       Failed (Printexc.to_string e)
 
-let evaluate ?(jobs = 1) ~target p cands =
+let evaluate ?(jobs = 1) p cands =
   let arr = Array.of_list cands in
   let n = Array.length arr in
   let out = Array.make n (Failed "not evaluated") in
   let jobs = max 1 (min jobs n) in
   if jobs <= 1 then
-    Array.iteri (fun i c -> out.(i) <- evaluate_one ~target p c) arr
+    Array.iteri (fun i c -> out.(i) <- evaluate_one p c) arr
   else begin
     let next = Atomic.make 0 in
     let worker () =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          out.(i) <- evaluate_one ~target p arr.(i);
+          out.(i) <- evaluate_one p arr.(i);
           loop ()
         end
       in

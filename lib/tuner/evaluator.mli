@@ -36,21 +36,21 @@ val version_of :
   target:Core.Pipeline.target -> Prog.t -> Search_space.candidate ->
   Exp_util.version
 (** Compile one candidate through its flow, without verification or
-    scoring (how a consumer applies a stored tuned configuration). *)
+    scoring (how a consumer applies a stored tuned configuration).
+    {!evaluate} always compiles for [Core.Pipeline.Cpu]; the label stays
+    here because consumers outside the tuner pass it. *)
 
 type outcome =
   | Scored of score
   | Illegal of string  (** static legality violation (hard reject) *)
   | Failed of string  (** compilation raised *)
 
-val evaluate_one :
-  target:Core.Pipeline.target -> Prog.t -> Search_space.candidate -> outcome
-(** Compile, verify and score one candidate. Never raises: a raising
-    compilation is [Failed]. *)
+val evaluate_one : Prog.t -> Search_space.candidate -> outcome
+(** Compile for the CPU, verify and score one candidate. Never raises: a
+    raising compilation is [Failed]. *)
 
 val evaluate :
-  ?jobs:int -> target:Core.Pipeline.target -> Prog.t ->
-  Search_space.candidate list ->
+  ?jobs:int -> Prog.t -> Search_space.candidate list ->
   (Search_space.candidate * outcome) list
 (** Evaluate a batch, preserving input order. [jobs] > 1 fans the batch
     out over that many domains (worker-pool pattern: one atomic work

@@ -100,7 +100,7 @@ let eval_batch acc ~jobs ~budget p cands =
   let fresh = List.filteri (fun i _ -> i < room) fresh in
   if fresh = [] then []
   else begin
-    let results = Evaluator.evaluate ~jobs ~target:Core.Pipeline.Cpu p fresh in
+    let results = Evaluator.evaluate ~jobs p fresh in
     List.iter (record acc) results;
     results
   end

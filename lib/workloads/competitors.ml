@@ -98,12 +98,6 @@ let polymage (c : Core.Pipeline.compiled) =
   let tree = Core.Post_tiling.to_tree p ~spaces:c.Core.Pipeline.spaces plan in
   { c with Core.Pipeline.plan; tree }
 
-let halide ?tile_size ~fused_stages ~target prog =
-  let fusable (s : Core.Spaces.t) =
-    List.for_all fused_stages s.Core.Spaces.group.Fusion.stmts
-  in
-  Core.Pipeline.run ?tile_size ~fusable ~target prog
-
 (* Manual-schedule fusion decisions per benchmark, following the
    published Halide schedules at our stage granularity. *)
 let halide_fused_stages prog_name stage =

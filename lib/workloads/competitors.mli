@@ -19,12 +19,6 @@ val polymage : Core.Pipeline.compiled -> Core.Pipeline.compiled
 (** Replace every extension schedule by its uniformly dilated
     over-approximation and rebuild the schedule tree. *)
 
-val halide :
-  ?tile_size:int -> fused_stages:(string -> bool) -> target:Core.Pipeline.target ->
-  Prog.t -> Core.Pipeline.compiled
-(** A manual schedule: stages (statements) for which [fused_stages] is
-    false are never computed inside consumer tiles. *)
-
 val halide_fused_stages : string -> string -> bool
 (** Per-benchmark manual-schedule decisions, keyed by program name then
     statement name (derived from the published Halide schedules: e.g.

@@ -5,10 +5,9 @@ type t = {
   params : (string * int) list;
   mutable arrays : Prog.array_decl list;
   mutable stmts : Prog.stmt list;
-  mutable stages : int;
 }
 
-let create pname ~params = { pname; params; arrays = []; stmts = []; stages = 0 }
+let create pname ~params = { pname; params; arrays = []; stmts = [] }
 
 let param_names t = List.map fst t.params
 
@@ -50,8 +49,7 @@ let stage t ~name ~out ~extents ~reads ?(ops = 2) ~compute () =
     Prog.mk_stmt ~name ~domain:(box_domain t name extents) ~write ~reads ~compute
       ~ops ()
   in
-  t.stmts <- t.stmts @ [ stmt ];
-  t.stages <- t.stages + 1
+  t.stmts <- t.stmts @ [ stmt ]
 
 let reduction t ~name ~out ~extents ~red_dims ~reads ?(ops = 2) ?(init = 0.0)
     ~combine () =
@@ -103,12 +101,9 @@ let reduction t ~name ~out ~extents ~red_dims ~reads ?(ops = 2) ?(init = 0.0)
       ~reads:(acc_read :: other_reads) ~compute:combine ~ops
       ~reduction_dims:(List.length red_dims) ()
   in
-  t.stmts <- t.stmts @ [ init_stmt; upd_stmt ];
-  t.stages <- t.stages + 1
+  t.stmts <- t.stmts @ [ init_stmt; upd_stmt ]
 
-let stmt t s =
-  t.stmts <- t.stmts @ [ s ];
-  t.stages <- t.stages + 1
+let stmt t s = t.stmts <- t.stmts @ [ s ]
 
 let finish t ~live_out =
   let p =
@@ -117,5 +112,3 @@ let finish t ~live_out =
   in
   Prog.validate p;
   p
-
-let n_stages t = t.stages

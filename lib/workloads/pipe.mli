@@ -42,5 +42,3 @@ val stmt : t -> Prog.stmt -> unit
 val array : t -> string -> Aff.t list -> unit
 
 val finish : t -> live_out:string list -> Prog.t
-
-val n_stages : t -> int

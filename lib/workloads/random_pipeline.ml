@@ -16,14 +16,6 @@ let default_config =
     two_d = true
   }
 
-(* Seed behind the registry's "fuzz_pipeline" workload. Every consumer
-   that compiles registry entries (bench snapshot, memcomp, tests) gets
-   the same pipeline unless the seed is explicitly overridden, so fuzz
-   snapshot counters reproduce run to run and machine to machine. *)
-let registry_seed = ref 1
-
-let set_registry_seed s = registry_seed := s
-
 (* A deterministic LCG so failures reproduce from the seed alone. *)
 type rng = { mutable state : int }
 

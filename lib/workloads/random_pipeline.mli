@@ -17,14 +17,6 @@ type config = {
 
 val default_config : config
 
-val registry_seed : int ref
-(** Seed used by the registry's ["fuzz_pipeline"] workload (default 1).
-    Override with [--seed N] on [bench/main.exe snapshot] (or
-    {!set_registry_seed}) so fuzz-workload snapshot counters are
-    reproducible; the seed in effect is recorded in failure messages. *)
-
-val set_registry_seed : int -> unit
-
 (** {2 Pipeline specs}
 
     The generator is split into decision making ([spec_of_seed]) and

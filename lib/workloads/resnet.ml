@@ -109,11 +109,3 @@ let build ?(blocks = default_blocks ()) () =
 let unit_kind name =
   if String.length name >= 5 && String.sub name 0 5 = "conv_" then Npu_model.Cube
   else Npu_model.Vector
-
-let conv_bn_stmts (p : Prog.t) =
-  List.filter_map
-    (fun (s : Prog.stmt) ->
-      let n = s.Prog.stmt_name in
-      let pre k = String.length n >= String.length k && String.sub n 0 (String.length k) = k in
-      if pre "conv_" || pre "bn_" then Some n else None)
-    p.Prog.stmts

@@ -30,7 +30,3 @@ val layer : ?with_relu:bool -> block -> Prog.t
 
 val unit_kind : string -> Npu_model.unit_kind
 (** Cube for convolutions, Vector for batchnorm/ReLU statements. *)
-
-val conv_bn_stmts : Prog.t -> string list
-(** Names of the forward convolution + batch normalization statements
-    (the subset Table III reports separately). *)

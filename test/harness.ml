@@ -34,19 +34,27 @@ let instances_per_stmt p ast mem =
   fun name -> Option.value ~default:0 (Hashtbl.find_opt counts name)
 
 (* Seed threading shared by the randomized binaries (test_fuzz,
-   test_props): `--seed N` on the command line wins over the FUZZ_SEED
-   environment variable, and the flag is stripped from argv before
-   Alcotest parses it. Returns (seed, argv-for-alcotest). The
-   precedence rules live in the shared Cli_util (lib/obs), so the test
-   binaries and the drivers can never drift apart. *)
-let seed_from_argv () = Cli_util.seed_from_argv Sys.argv
+   test_props): `--seed N` offsets every generator seed (default 0; the
+   last flag wins, and a non-integer value is dropped with its flag).
+   The flag is stripped from argv before Alcotest parses it. Returns
+   (seed, argv-for-alcotest). *)
+let seed_from_argv () =
+  let rec strip acc seed = function
+    | [] -> (seed, Array.of_list (List.rev acc))
+    | "--seed" :: v :: rest ->
+        strip acc (Option.value ~default:seed (int_of_string_opt v)) rest
+    | a :: rest -> strip (a :: acc) seed rest
+  in
+  strip [] 0 (Array.to_list Sys.argv)
 
-(* `--shrink` (or FUZZ_SHRINK=1) turns on spec minimization after a
-   fuzz mismatch: the failing seed's spec is greedily reduced with
-   lib/verify's Shrink before the repro artifact is written. The flag
-   is stripped before Alcotest parses argv; pass the argv returned by
-   [seed_from_argv] so both flags compose. *)
-let shrink_from_argv ?argv () = Cli_util.shrink_from_argv ?argv ()
+(* `--shrink` turns on spec minimization after a fuzz mismatch: the
+   failing seed's spec is greedily reduced with lib/verify's Shrink
+   before the repro artifact is written. The flag is stripped before
+   Alcotest parses argv; pass the argv returned by [seed_from_argv] so
+   both flags compose. *)
+let shrink_from_argv argv =
+  let args = List.filter (( <> ) "--shrink") (Array.to_list argv) in
+  (List.length args < Array.length argv, Array.of_list args)
 
 (* One-line run banner shared by the randomized binaries, so a CI log
    shows the seed offset and shrink mode without digging into argv. *)

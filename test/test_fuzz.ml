@@ -5,26 +5,26 @@
    benchmark covers: random DAGs with fan-out, mixed stencil radii,
    floor-division sampling and reductions.
 
-   Seeds are offset by --seed N (stripped before Alcotest sees argv) or
-   the FUZZ_SEED environment variable, so a failing run reproduces from
-   the seed printed in its failure message alone:
+   Seeds are offset by --seed N (stripped before Alcotest sees argv),
+   so a failing run reproduces from the seed printed in its failure
+   message alone:
      dune exec test/test_fuzz.exe -- --seed 1000
 
    On a mismatch the full flow name, pipeline summary and final
    schedule tree are printed, and a self-contained repro file is
    written to _build/fuzz_repro_<seed>.ml (uploaded as a CI artifact).
-   With --shrink (or FUZZ_SHRINK=1) the failing spec is first greedily
-   minimized — the repro then holds the smallest spec that still makes
-   that flow disagree with the naive reference. *)
+   With --shrink the failing spec is first greedily minimized — the
+   repro then holds the smallest spec that still makes that flow
+   disagree with the naive reference. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 
-(* --seed N / FUZZ_SEED: base offset added to every generator seed;
-   --shrink / FUZZ_SHRINK: minimize failing specs before writing the
-   repro (shared parsing in Harness). *)
+(* --seed N: base offset added to every generator seed; --shrink:
+   minimize failing specs before writing the repro (shared parsing in
+   Harness). *)
 let base_seed, argv = Harness.seed_from_argv ()
-let shrink_enabled, argv = Harness.shrink_from_argv ~argv ()
+let shrink_enabled, argv = Harness.shrink_from_argv argv
 
 (* Flows are (name, builder) pairs so the shrinker can re-run just the
    mismatching flow on each candidate spec. *)

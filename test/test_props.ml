@@ -15,8 +15,8 @@
      enabled (cold and hot) and disabled.
 
    Seeds thread exactly as in test_fuzz: `--seed N` (stripped before
-   Alcotest parses argv) or FUZZ_SEED offsets every generator seed, and
-   each failure message prints the seed that reproduces it alone:
+   Alcotest parses argv) offsets every generator seed, and each failure
+   message prints the seed that reproduces it alone:
      dune exec test/test_props.exe -- --seed 1000 *)
 
 open Presburger

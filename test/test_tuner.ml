@@ -114,9 +114,7 @@ let test_pruning_keeps_best () =
   let unbounded = small_space ~scratchpad_bytes:max_int p in
   let all, pruned_none = Search_space.enumerate unbounded in
   check int "unbounded space prunes nothing" 0 pruned_none;
-  let results =
-    Evaluator.evaluate ~target:Core.Pipeline.Cpu p all
-  in
+  let results = Evaluator.evaluate p all in
   let best =
     List.fold_left
       (fun acc (c, o) ->
@@ -153,7 +151,7 @@ let test_all_evaluated_legal () =
   let cands, _ = Search_space.enumerate sp in
   (* cap the batch to keep the test quick, but cover every flow *)
   let cands = List.filteri (fun i _ -> i < 12) cands in
-  let results = Evaluator.evaluate ~target:Core.Pipeline.Cpu p cands in
+  let results = Evaluator.evaluate p cands in
   check bool "evaluated a non-empty batch" true (results <> []);
   List.iter
     (fun (c, o) ->
