@@ -447,7 +447,7 @@ let tune_cmd =
   in
   let budget_arg =
     Arg.(
-      value & opt int 48
+      value & opt positive_int 48
       & info [ "budget" ] ~docv:"N"
           ~doc:"Maximum candidate evaluations (compile + verify + score).")
   in

@@ -17,7 +17,7 @@ type level = {
 }
 
 type t = {
-  levels : level list;
+  levels : level array;
   dram_latency : int;
   mutable accesses : int;
   mutable dram : int;
@@ -37,61 +37,65 @@ let mk_level config =
   }
 
 let create ~levels ~dram_latency =
-  { levels = List.map mk_level levels; dram_latency; accesses = 0; dram = 0 }
+  let levels = Array.of_list (List.map mk_level levels) in
+  { levels; dram_latency; accesses = 0; dram = 0 }
 
 (* true on hit; on miss the line is installed (write-allocate) *)
 let probe level ~line =
   let set = line mod level.n_sets in
   let tag = line / level.n_sets in
-  let base = set * level.config.assoc in
+  let assoc = level.config.assoc in
+  let base = set * assoc in
   level.tick <- level.tick + 1;
-  let rec find w =
-    if w >= level.config.assoc then None
-    else if level.tags.(base + w) = tag then Some w
-    else find (w + 1)
-  in
-  match find 0 with
-  | Some w ->
-      level.hits <- level.hits + 1;
-      level.ages.(base + w) <- level.tick;
-      true
-  | None ->
-      level.misses <- level.misses + 1;
-      (* evict LRU way *)
-      let victim = ref 0 in
-      for w = 1 to level.config.assoc - 1 do
-        if level.ages.(base + w) < level.ages.(base + !victim) then victim := w
-      done;
-      level.tags.(base + !victim) <- tag;
-      level.ages.(base + !victim) <- level.tick;
-      false
+  let w = ref 0 in
+  while !w < assoc && level.tags.(base + !w) <> tag do
+    incr w
+  done;
+  if !w < assoc then begin
+    level.hits <- level.hits + 1;
+    level.ages.(base + !w) <- level.tick;
+    true
+  end
+  else begin
+    level.misses <- level.misses + 1;
+    (* evict LRU way *)
+    let victim = ref 0 in
+    for w = 1 to assoc - 1 do
+      if level.ages.(base + w) < level.ages.(base + !victim) then victim := w
+    done;
+    level.tags.(base + !victim) <- tag;
+    level.ages.(base + !victim) <- level.tick;
+    false
+  end
 
 let access t ~addr ~write =
   ignore write;
   t.accesses <- t.accesses + 1;
-  let rec go levels =
-    match levels with
-    | [] ->
-        t.dram <- t.dram + 1;
-        t.dram_latency
-    | level :: rest ->
-        let line = addr / level.config.line_bytes in
-        if probe level ~line then level.config.latency
-        else level.config.latency + go rest
-  in
-  go t.levels
+  let n = Array.length t.levels in
+  let lat = ref 0 and i = ref 0 and hit = ref false in
+  while (not !hit) && !i < n do
+    let level = t.levels.(!i) in
+    lat := !lat + level.config.latency;
+    hit := probe level ~line:(addr / level.config.line_bytes);
+    incr i
+  done;
+  if !hit then !lat
+  else begin
+    t.dram <- t.dram + 1;
+    !lat + t.dram_latency
+  end
 
 let stats t =
   List.map
     (fun l -> { level = l.config.name; hits = l.hits; misses = l.misses })
-    t.levels
+    (Array.to_list t.levels)
 
 let dram_accesses t = t.dram
 
 let publish t =
   let add name n = if n > 0 then Obs.add name n in
   add "cache.accesses" t.accesses;
-  List.iter
+  Array.iter
     (fun l ->
       add ("cache." ^ l.config.name ^ ".hits") l.hits;
       add ("cache." ^ l.config.name ^ ".misses") l.misses)
@@ -99,7 +103,7 @@ let publish t =
   add "cache.dram" t.dram
 
 let reset t =
-  List.iter
+  Array.iter
     (fun l ->
       Array.fill l.tags 0 (Array.length l.tags) (-1);
       Array.fill l.ages 0 (Array.length l.ages) 0;

@@ -89,16 +89,33 @@ let profile ?seed (p : Prog.t) ast =
   let per_kernel_mem : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let per_kernel_dram : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let dram_latency = 200 in
+  (* the current kernel's cycles, added to the tables when it changes *)
+  let cur = ref (-1) and mem_cycles = ref 0 and dram_cycles = ref 0 in
+  let flush () =
+    let add tbl n =
+      if n > 0 then
+        Hashtbl.replace tbl !cur
+          (n + Option.value ~default:0 (Hashtbl.find_opt tbl !cur))
+    in
+    add per_kernel_mem !mem_cycles;
+    add per_kernel_dram !dram_cycles;
+    mem_cycles := 0;
+    dram_cycles := 0
+  in
   let hook ~kernel ~stmt:_ ~inst:_ ~array:_ ~cell:_ ~addr ~write =
+    if kernel <> !cur then begin
+      flush ();
+      cur := kernel
+    end;
     let lat = Cache.access cache ~addr ~write in
-    let dram = if lat >= dram_latency then dram_latency else 0 in
-    Hashtbl.replace per_kernel_mem kernel
-      (lat - dram + Option.value ~default:0 (Hashtbl.find_opt per_kernel_mem kernel));
-    if dram > 0 then
-      Hashtbl.replace per_kernel_dram kernel
-        (dram + Option.value ~default:0 (Hashtbl.find_opt per_kernel_dram kernel))
+    if lat >= dram_latency then begin
+      mem_cycles := !mem_cycles + lat - dram_latency;
+      dram_cycles := !dram_cycles + dram_latency
+    end
+    else mem_cycles := !mem_cycles + lat
   in
   let stats = Interp.run ~hook p ast mem in
+  flush ();
   Cache.publish cache;
   let kernel_regions = Ast.kernels ast in
   let kernels =

@@ -139,10 +139,6 @@ let intermediate_arrays t =
          then Some a.array_name
          else None)
 
-let eval_index_with_params params { aff; div } pt =
-  let v = eval_aff_with_params params aff pt in
-  if div = 1 then v else Vec.floor_div v div
-
 let validate t =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
   let array_names = List.map (fun a -> a.array_name) t.arrays in

@@ -90,7 +90,9 @@ val writers_of : t -> string -> stmt list
 val intermediate_arrays : t -> string list
 (** Arrays written by the program that are not live-out. *)
 
-val eval_index_with_params : (string * int) list -> index -> int array -> int
+val eval_aff_with_params : (string * int) list -> Aff.t -> int array -> int
+(** Value of an affine form at a point under a parameter binding;
+    raises [Invalid_argument] on an unbound parameter. *)
 
 val validate : t -> unit
 (** Check structural invariants (tuple names, access arities, array

@@ -267,5 +267,6 @@ let run_stealing ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
   metrics_of workers
 
 let run ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
+  let jobs = min jobs (Tile_graph.n_items g) in
   if jobs <= 1 then run_sequential ~race_check p g mem
   else run_stealing ~jobs ~race_check p g mem

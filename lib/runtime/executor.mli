@@ -36,13 +36,14 @@ type metrics = {
 val run :
   jobs:int -> race_check:bool ->
   Prog.t -> Tile_graph.t -> Interp.memory -> metrics
-(** One worker ([jobs <= 1]) is {!run_sequential} in item-id order.
-    Several workers run dependence-aware work stealing: one domain per
-    worker, each popping ready items from its own deque and stealing
-    from the others', with atomic predecessor counters releasing
-    successors. Item ids are a topological order and opaque items are
-    ordered against every other item, so no schedule needs a
-    fallback. *)
+(** Runs [min jobs (n_items g)] workers, so no domain starts without an
+    item to take; [m_jobs] reports that count. One worker is
+    {!run_sequential} in item-id order. Several workers run
+    dependence-aware work stealing: one domain per worker, each popping
+    ready items from its own deque and stealing from the others', with
+    atomic predecessor counters releasing successors. Item ids are a
+    topological order and opaque items are ordered against every other
+    item, so no schedule needs a fallback. *)
 
 val run_sequential :
   ?order:int array ->

@@ -12,7 +12,6 @@ type result = {
 
 let run ?(jobs = 1) ?(race_check = false) ?(seed = 42) (p : Prog.t) ~deps ast =
   Obs.span "runtime.run" @@ fun () ->
-  let jobs = max 1 jobs in
   let mem = Interp.alloc p in
   Cpu_model.deterministic_fill ~seed p mem;
   let graph =
@@ -28,7 +27,7 @@ let run ?(jobs = 1) ?(race_check = false) ?(seed = 42) (p : Prog.t) ~deps ast =
   Obs.add "runtime.edges" graph.Tile_graph.n_edges;
   Obs.add "runtime.steals" metrics.Executor.m_steals;
   Obs.add "runtime.race_violations" (List.length metrics.Executor.m_violations);
-  Obs.add "runtime.workers" jobs;
+  Obs.add "runtime.workers" metrics.Executor.m_jobs;
   Array.iter
     (fun b -> Obs.observe "runtime.worker_busy_us" (1e6 *. b))
     metrics.Executor.m_busy_s;

@@ -23,6 +23,7 @@ val run :
   Prog.t -> deps:Deps.t list -> Ast.t -> result
 (** Allocate memory, fill deterministically (same [seed] default as
     the machine models), extract the tile graph, execute it with
-    {!Executor.run} on [jobs] workers (default 1), and emit
-    [runtime.*] observability counters (from the calling thread only;
-    the executor itself never touches [Obs]). *)
+    {!Executor.run} on at most [jobs] workers (default 1; never more
+    than there are tiles), and emit [runtime.*] observability counters
+    (from the calling thread only; the executor itself never touches
+    [Obs]). *)

@@ -169,7 +169,6 @@ let tune ?(strategy = Greedy) ?(budget = 48) ?(jobs = 1) ?(seed = 0) ?space
   let sp =
     match space with Some sp -> sp | None -> Search_space.make p
   in
-  let budget = max 1 budget in
   let key = Tune_db.key p sp in
   let db =
     match db_path with

@@ -42,7 +42,8 @@ val tune :
     content-addressed key answers instantly unless [force] re-tunes
     (the fresh entry then replaces the stored one). [Error] when the
     database cannot be read or written, or when the default
-    configuration itself fails to compile or verify. *)
+    configuration itself fails to compile or verify, or is not
+    evaluated because [budget] is below 1. *)
 
 val report_markdown : result -> string
 (** Human-readable tuning report: chosen vs default configuration,

@@ -144,6 +144,71 @@ let test_cache_miss_monotone () =
   check bool "smallest cache strictly worse than largest" true
     (List.nth ms 3 > List.nth ms 0)
 
+
+(* The simulator against a reference written here: each set of each
+   level is a most-recent-first list of at most [assoc] tags, a miss
+   installs the line at every level it reaches, and the latency is the
+   sum of the levels probed (plus DRAM when all miss). *)
+let test_cache_reference_lru () =
+  let levels =
+    List.map
+      (fun (name, kib, assoc, latency) ->
+        { Cache.name; size_bytes = kib * 1024; line_bytes = 64; assoc; latency })
+      [ ("L1", 2, 4, 4); ("L2", 16, 8, 14); ("L3", 64, 16, 50) ]
+  in
+  let c = Cache.create ~levels ~dram_latency:200 in
+  let model =
+    List.map
+      (fun (l : Cache.level_config) ->
+        let n_sets = l.Cache.size_bytes / (l.Cache.line_bytes * l.Cache.assoc) in
+        (l, n_sets, Array.make n_sets [], ref 0, ref 0))
+      levels
+  in
+  let dram = ref 0 in
+  let model_access addr =
+    let rec go = function
+      | [] ->
+          incr dram;
+          200
+      | ((l : Cache.level_config), n_sets, sets, hits, misses) :: rest ->
+          let line = addr / l.Cache.line_bytes in
+          let set = line mod n_sets and tag = line / n_sets in
+          let ways = sets.(set) in
+          let others = List.filter (( <> ) tag) ways in
+          if List.mem tag ways then begin
+            incr hits;
+            sets.(set) <- tag :: others;
+            l.Cache.latency
+          end
+          else begin
+            incr misses;
+            sets.(set) <- List.filteri (fun i _ -> i < l.Cache.assoc) (tag :: ways);
+            l.Cache.latency + go rest
+          end
+    in
+    go model
+  in
+  (* half short strides from the previous address, half anywhere in
+     twice the L3 capacity: hits and misses at every level *)
+  let state = ref 2024 and addr = ref 0 in
+  for i = 1 to 10_000 do
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    (addr :=
+       if (!state lsr 20) land 1 = 0 then !addr + (4 * ((!state lsr 16) land 15))
+       else (!state lsr 4) mod (128 * 1024));
+    let want = model_access !addr in
+    let got = Cache.access c ~addr:!addr ~write:(i land 3 = 0) in
+    if got <> want then
+      Alcotest.failf "access %d (addr %d): latency %d, reference %d" i !addr got want
+  done;
+  List.iter2
+    (fun (s : Cache.level_stats) ((l : Cache.level_config), _, _, hits, misses) ->
+      check bool (l.Cache.name ^ " sees hits and misses") true (!hits > 0 && !misses > 0);
+      check int (l.Cache.name ^ " hits") !hits s.Cache.hits;
+      check int (l.Cache.name ^ " misses") !misses s.Cache.misses)
+    (Cache.stats c) model;
+  check int "DRAM" !dram (Cache.dram_accesses c)
+
 (* ------------------------------------------------------------------ *)
 (* Interpreter                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -178,6 +243,164 @@ let test_interp_guard () =
      superset, and at least the minimum row length *)
   check bool "guard prunes" true (executed < n * 16);
   check bool "guard keeps short rows" true (executed >= n * 4)
+
+(* The interpreter against OCaml, not against itself: 2mm's naive code
+   leaves TMP and D as this loop nest over the same fill does. *)
+let test_interp_matches_ocaml () =
+  let p = (Registry.find "2mm").Registry.small () in
+  let n = 20 in
+  let got = Cpu_model.run_to_memory p (Exp_util.naive p).Exp_util.ast in
+  let want = Interp.alloc p in
+  Cpu_model.deterministic_fill p want;
+  let arr = Interp.read_array want in
+  let a = arr "A" and b = arr "B" and c = arr "C" and tmp = arr "TMP" and d = arr "D" in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      tmp.((i * n) + j) <- 0.0;
+      for k = 0 to n - 1 do
+        tmp.((i * n) + j) <-
+          tmp.((i * n) + j) +. (1.5 *. a.((i * n) + k) *. b.((k * n) + j))
+      done
+    done
+  done;
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      d.((i * n) + j) <- 1.2 *. d.((i * n) + j);
+      for k = 0 to n - 1 do
+        d.((i * n) + j) <- d.((i * n) + j) +. (tmp.((i * n) + k) *. c.((k * n) + j))
+      done
+    done
+  done;
+  check bool "TMP as the loop nest computes it" true (Interp.arrays_equal got want "TMP");
+  check bool "D as the loop nest computes it" true (Interp.arrays_equal got want "D")
+
+(* The hook contract: per instance, every read fires before the one
+   write, in the statement's read order; a retained [inst] keeps its
+   values; [addr] is the array's cache-line-aligned base (arrays laid
+   out in declaration order) plus four bytes per cell. *)
+let test_interp_hook_contract () =
+  let p = (Registry.find "conv2d").Registry.small () in
+  let ast = (Exp_util.ours ~tile:4 ~target:Core.Pipeline.Cpu p).Exp_util.ast in
+  let bases = Hashtbl.create 8 in
+  ignore
+    (List.fold_left
+       (fun next (a : Prog.array_decl) ->
+         Hashtbl.replace bases a.Prog.array_name next;
+         let cells = List.fold_left ( * ) 1 (Prog.array_extent p a.Prog.array_name) in
+         next + ((cells * 4) + 63) / 64 * 64)
+       0 p.Prog.arrays);
+  let events = ref [] in
+  let hook ~kernel:_ ~stmt ~inst ~array ~cell ~addr ~write =
+    check int "addr = base + 4 * cell" (Hashtbl.find bases array + (4 * cell)) addr;
+    events := (stmt, inst, Array.copy inst, array, write) :: !events
+  in
+  let stats = Interp.run ~hook p ast (Interp.alloc p) in
+  (* split into instances: each ends at its write *)
+  let rec instances acc cur = function
+    | [] ->
+        check bool "the last event is a write" true (cur = []);
+        List.rev acc
+    | ((_, _, _, _, write) as e) :: rest ->
+        if write then instances (List.rev (e :: cur) :: acc) [] rest
+        else instances acc (e :: cur) rest
+  in
+  let insts = instances [] [] (List.rev !events) in
+  check int "one write per instance" stats.Interp.instances (List.length insts);
+  let prev = ref [||] in
+  List.iter
+    (fun evs ->
+      let stmt, inst, _, _, _ = List.hd evs in
+      let s = Prog.find_stmt p stmt in
+      check bool "one statement instance" true
+        (List.for_all (fun (st, i, _, _, _) -> st = stmt && i == inst) evs);
+      check bool "a fresh inst per instance" true (inst != !prev);
+      prev := inst;
+      check (Alcotest.list Alcotest.string) (stmt ^ " reads in order, then its write")
+        (List.map
+           (fun (a : Prog.access) -> a.Prog.array)
+           (s.Prog.reads @ [ s.Prog.write ]))
+        (List.map (fun (_, _, _, a, _) -> a) evs))
+    insts;
+  check bool "retained inst arrays keep their values" true
+    (List.for_all (fun (_, inst, copy, _, _) -> inst = copy) !events)
+
+let s0_call args = Ast.Call { stmt = "S0"; args }
+
+let s0_for var lo hi body =
+  Ast.For { var; lb = Ast.Int lo; ub = Ast.Int hi; coincident = false; body }
+
+(* The instances a run executes, as their iteration vectors. *)
+let run_insts ?(p = Conv2d.build ~h:4 ~w:4 ()) ast =
+  let insts = ref [] in
+  let hook ~kernel:_ ~stmt:_ ~inst ~array:_ ~cell:_ ~addr:_ ~write =
+    if write then insts := Array.to_list inst :: !insts
+  in
+  ignore (Interp.run ~hook p ast (Interp.alloc p));
+  List.rev !insts
+
+let int_lists = Alcotest.(list (list int))
+
+(* A nested loop that reuses a name reads the inner binding; after it,
+   the outer binding is back. *)
+let test_interp_shadowing () =
+  check int_lists "inner binding, then the outer one" [ [ 2; 1 ]; [ 0; 3 ] ]
+    (run_insts
+       (s0_for "i" 0 0
+          (Ast.Block
+             [ s0_for "i" 2 2 (s0_call [ Ast.Var "i"; Ast.Int 1 ]);
+               s0_call [ Ast.Var "i"; Ast.Int 3 ]
+             ])))
+
+(* A tile runner stages a body once and runs it under each item's
+   bindings: the same physical body under two environments writes two
+   cells. *)
+let test_tile_runner_envs () =
+  let p = Conv2d.build ~h:4 ~w:4 () in
+  let cells = ref [] in
+  let hook ~kernel:_ ~stmt:_ ~inst:_ ~array:_ ~cell ~addr:_ ~write =
+    if write then cells := cell :: !cells
+  in
+  let stats, exec = Interp.tile_runner ~hook p (Interp.alloc p) in
+  let body = s0_call [ Ast.Var "i"; Ast.Var "j" ] in
+  exec ~env:[ ("j", 1); ("i", 2) ] body;
+  exec ~env:[ ("j", 3); ("i", 0) ] body;
+  check (Alcotest.list int) "cells (2,1) then (0,3)" [ 9; 3 ] (List.rev !cells);
+  check int "two instances" 2 stats.Interp.instances
+
+(* Errors raise when the offending instance runs, with the messages of
+   the contract; code that never runs raises nothing. *)
+let test_interp_errors_at_run () =
+  let p = Conv2d.build ~h:4 ~w:4 () in
+  let s0 = Prog.find_stmt p "S0" in
+  let p_arity =
+    { p with
+      Prog.stmts =
+        [ { s0 with
+            Prog.write =
+              { s0.Prog.write with Prog.indices = [ List.hd s0.Prog.write.Prog.indices ] }
+          }
+        ]
+    }
+  in
+  let cases =
+    [ (p, s0_call [ Ast.Var "nope"; Ast.Int 0 ], "eval_expr: unbound loop var nope");
+      ( p,
+        s0_call [ Ast.Int 7; Ast.Int 0 ],
+        "Interp: out of bounds on A dim 0: 7 (extent 4)" );
+      (p, Ast.Call { stmt = "nope"; args = [] }, "Interp: unknown statement nope");
+      (p_arity, s0_call [ Ast.Int 0; Ast.Int 0 ], "Interp: arity mismatch on A")
+    ]
+  in
+  List.iter
+    (fun (p, code, msg) ->
+      check int_lists (msg ^ ": not when the branch is dead") []
+        (run_insts ~p (Ast.If ([ Ast.Int (-1) ], code)));
+      check int_lists (msg ^ ": not in an empty loop") []
+        (run_insts ~p (s0_for "x" 1 0 code));
+      match run_insts ~p (Ast.If ([ Ast.Int 0 ], code)) with
+      | exception Invalid_argument m -> check Alcotest.string "message" msg m
+      | _ -> Alcotest.failf "expected %s" msg)
+    cases
 
 let test_fill_deterministic () =
   let p = Conv2d.build ~h:8 ~w:8 () in
@@ -280,12 +503,18 @@ let () =
           Alcotest.test_case "reset" `Quick test_cache_reset;
           Alcotest.test_case "conservation" `Quick test_cache_conservation;
           Alcotest.test_case "miss monotonicity" `Quick test_cache_miss_monotone;
-          Alcotest.test_case "publish once per run" `Quick test_cache_publish
+          Alcotest.test_case "publish once per run" `Quick test_cache_publish;
+          Alcotest.test_case "matches a list LRU model" `Quick test_cache_reference_lru
         ] );
       ( "interp",
         [ Alcotest.test_case "bounds checking" `Quick test_interp_bounds;
           Alcotest.test_case "dynamic guard" `Quick test_interp_guard;
-          Alcotest.test_case "deterministic fill" `Quick test_fill_deterministic
+          Alcotest.test_case "deterministic fill" `Quick test_fill_deterministic;
+          Alcotest.test_case "2mm matches OCaml loops" `Quick test_interp_matches_ocaml;
+          Alcotest.test_case "hook contract" `Quick test_interp_hook_contract;
+          Alcotest.test_case "shadowed loop variable" `Quick test_interp_shadowing;
+          Alcotest.test_case "tile runner, two environments" `Quick test_tile_runner_envs;
+          Alcotest.test_case "errors raise when run" `Quick test_interp_errors_at_run
         ] );
       ( "footprints",
         [ Alcotest.test_case "staging" `Quick test_cluster_staging;

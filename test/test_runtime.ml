@@ -75,6 +75,20 @@ let test_registry_smartfuse_parallel () =
       differential ~jobs:4 p v)
     [ "conv2d"; "harris"; "2mm" ]
 
+(* No worker starts without a tile to take: conv2d at tile 32 is one
+   tile, so eight jobs run one worker, and Obs reports that one. *)
+let test_one_tile_one_worker () =
+  let p = (Registry.find "conv2d").Registry.small () in
+  let v = compile ~tile:32 p in
+  Obs.reset ();
+  Obs.enable ();
+  let r = Runtime.run ~jobs:8 p ~deps:(Exp_util.deps_of p v) v.Exp_util.ast in
+  check int "one tile" 1 (Tile_graph.n_items r.Runtime.graph);
+  check int "one worker ran" 1 r.Runtime.metrics.Executor.m_jobs;
+  check int "runtime.workers" 1 (Obs.counter_value "runtime.workers");
+  check bool "result matches Interp.run" true
+    (live_out_equal p r.Runtime.mem (Cpu_model.run_to_memory p v.Exp_util.ast))
+
 (* ------------------------------------------------------------------ *)
 (* Differential: random pipelines                                      *)
 (* ------------------------------------------------------------------ *)
@@ -261,7 +275,9 @@ let () =
             test_registry_smartfuse_parallel;
           Alcotest.test_case "fuzz seeds 0/2000/3000" `Slow test_fuzz_parallel;
           Alcotest.test_case "registry x ours, 1 worker" `Quick
-            test_registry_one_worker
+            test_registry_one_worker;
+          Alcotest.test_case "one tile, eight jobs, one worker" `Quick
+            test_one_tile_one_worker
         ] );
       ( "tile-graph",
         [ Alcotest.test_case "conv2d counts" `Quick test_extract_conv2d;
