@@ -1,23 +1,19 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section VI) through the machine models, and snapshots
-   and gates the compiler's exact counts.
+   evaluation (Section VI) through the machine models, and prints the
+   compiler's exact counts.
 
    Usage:
      bench/main.exe                 run every table and figure
      bench/main.exe table1 fig8 ... run selected experiments (ablations
                                     included)
-     bench/main.exe snapshot --out FILE [--workloads a,b,c] [--small]
-                             [--label L]
-                                    write a BENCH_*.json snapshot database
-                                    (one flat map of exact counts per
-                                    workload x flow)
-     bench/main.exe regress --base FILE --cand FILE [--json]
-                                    diff two databases, every metric
-                                    exactly; exit 1 on regression (the
-                                    CI gate), 2 on error *)
+     bench/main.exe snapshot [--small] [--workloads a,b,c]
+                                    print one sorted "workload flow metric
+                                    count" line per exact count; test/dune
+                                    diffs the --small run against
+                                    BENCH_baseline_small.txt *)
 
 (* ------------------------------------------------------------------ *)
-(* snapshot / regress: the perf-snapshot and regression-gate commands  *)
+(* snapshot: the compiler's exact counts, one line each                *)
 (* ------------------------------------------------------------------ *)
 
 let usage_error msg =
@@ -46,11 +42,14 @@ let snapshot_flows =
   ]
 
 (* Compile one workload with one flow under full instrumentation and
-   freeze the result. The cache counts come from the trace-driven CPU
-   profile, the traffic volumes and their per-array attribution from
-   the polyhedral footprint model, and one sequential tile-graph run
-   adds the runtime.* counters, so a snapshot captures compile-side and
-   machine-side behaviour at once. *)
+   return its counts as "workload flow metric count" lines. The cache
+   counts come from the trace-driven CPU profile, the traffic volumes
+   and their per-array attribution from the polyhedral footprint model,
+   and one sequential tile-graph run adds the runtime.* counters, so a
+   snapshot captures compile-side and machine-side behaviour at once.
+   Every span's call count and every Obs counter are read last, after
+   the model counts are built, so they include the presburger work of
+   the footprint calls. *)
 let collect_one ~small (e : Registry.entry) (flow_name, compile) =
   Obs.reset ();
   Presburger.Fm_cache.reset ();
@@ -68,13 +67,13 @@ let collect_one ~small (e : Registry.entry) (flow_name, compile) =
         (prefix ^ ".write_bytes", tr.Footprints.write_bytes)
       ]
     in
-    Bench_db.capture ~workload:e.Registry.reg_name ~flow:flow_name
-      (List.concat_map
-         (fun (l : Cache.level_stats) ->
-           [ ("cache." ^ l.Cache.level ^ ".hits", l.Cache.hits);
-             ("cache." ^ l.Cache.level ^ ".misses", l.Cache.misses)
-           ])
-         report.Cpu_model.cache
+    let model =
+      List.concat_map
+        (fun (l : Cache.level_stats) ->
+          [ ("cache." ^ l.Cache.level ^ ".hits", l.Cache.hits);
+            ("cache." ^ l.Cache.level ^ ".misses", l.Cache.misses)
+          ])
+        report.Cpu_model.cache
       @ [ ("cache.dram", report.Cpu_model.dram);
           ("traffic.staged_bytes", Footprints.max_staged_bytes p clusters);
           ("ast.loops", Ast.count_loops v.Exp_util.ast);
@@ -84,11 +83,24 @@ let collect_one ~small (e : Registry.entry) (flow_name, compile) =
       @ bytes "traffic" traffic
       @ List.concat_map
           (fun (a, tr) -> bytes ("attribution." ^ a) tr)
-          (Footprints.program_traffic_by_array p clusters))
+          (Footprints.program_traffic_by_array p clusters)
+    in
+    let spans =
+      List.map
+        (fun (name, (calls, _, _)) -> ("span." ^ name ^ ".calls", calls))
+        (Obs.spans_alist ())
+    in
+    let counters =
+      List.map (fun (name, n) -> ("counter." ^ name, n)) (Obs.counters_alist ())
+    in
+    List.map
+      (fun (metric, n) ->
+        Printf.sprintf "%s %s %s %d" e.Registry.reg_name flow_name metric n)
+      (model @ spans @ counters)
   with
-  | snap ->
+  | lines ->
       finish ();
-      Some snap
+      Some lines
   | exception exn ->
       finish ();
       Printf.eprintf "snapshot: %s/%s failed: %s\n%!" e.Registry.reg_name
@@ -96,103 +108,32 @@ let collect_one ~small (e : Registry.entry) (flow_name, compile) =
       None
 
 let snapshot_cmd args =
-  let out = ref None in
   let workloads = ref None in
   let small = ref false in
-  let label = ref None in
   let rec parse = function
     | [] -> ()
-    | "--out" :: f :: rest ->
-        out := Some f;
-        parse rest
     | "--workloads" :: ws :: rest ->
         workloads := Some (String.split_on_char ',' ws);
         parse rest
     | "--small" :: rest ->
         small := true;
         parse rest
-    | "--label" :: l :: rest ->
-        label := Some l;
-        parse rest
     | a :: _ -> usage_error (Printf.sprintf "snapshot: unknown argument %s" a)
   in
   parse args;
-  let out =
-    match !out with
-    | Some f -> f
-    | None -> usage_error "snapshot: --out FILE is required"
-  in
   let entries =
     match !workloads with
     | None -> Registry.all
     | Some names -> entries_of names
-  in
-  let label =
-    match !label with
-    | Some l -> l
-    | None ->
-        (* BENCH_<label>.json -> <label>; otherwise the basename *)
-        let base = Filename.remove_extension (Filename.basename out) in
-        if String.length base > 6 && String.sub base 0 6 = "BENCH_" then
-          String.sub base 6 (String.length base - 6)
-        else base
   in
   let snapshots =
     List.concat_map
       (fun e -> List.filter_map (collect_one ~small:!small e) snapshot_flows)
       entries
   in
-  let expected = List.length entries * List.length snapshot_flows in
-  (match Bench_db.save out (Bench_db.make ~label snapshots) with
-  | Ok () -> ()
-  | Error msg -> usage_error ("snapshot: " ^ msg));
-  Printf.printf "wrote %d/%d snapshots (%d workloads x %d flows%s) to %s\n"
-    (List.length snapshots) expected (List.length entries)
-    (List.length snapshot_flows)
-    (if !small then ", small sizes" else "")
-    out;
-  if List.length snapshots < expected then exit 1
-
-let regress_cmd args =
-  let base = ref None in
-  let cand = ref None in
-  let json = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--base" :: f :: rest ->
-        base := Some f;
-        parse rest
-    | "--cand" :: f :: rest ->
-        cand := Some f;
-        parse rest
-    | "--json" :: rest ->
-        json := true;
-        parse rest
-    | a :: _ -> usage_error (Printf.sprintf "regress: unknown argument %s" a)
-  in
-  parse args;
-  let required name r =
-    match !r with
-    | Some f -> f
-    | None -> usage_error (Printf.sprintf "regress: %s FILE is required" name)
-  in
-  let base_file = required "--base" base in
-  let cand_file = required "--cand" cand in
-  let load name file =
-    match Bench_db.load file with
-    | Ok db -> db
-    | Error msg -> usage_error (Printf.sprintf "%s: %s" name msg)
-  in
-  let base_db = load "--base" base_file in
-  let cand_db = load "--cand" cand_file in
-  let deltas = Bench_db.diff ~base:base_db ~cand:cand_db in
-  if !json then print_endline (Bench_db.deltas_json deltas)
-  else begin
-    Printf.printf "regress: %s (%s) -> %s (%s)\n" base_db.Bench_db.label
-      base_db.Bench_db.created cand_db.Bench_db.label cand_db.Bench_db.created;
-    print_string (Bench_db.summary_table deltas)
-  end;
-  exit (Bench_db.gate deltas)
+  List.iter print_endline (List.sort compare (List.concat snapshots));
+  if List.length snapshots < List.length entries * List.length snapshot_flows
+  then exit 1
 
 let experiments =
   [ ("table1", Paper_experiments.table1);
@@ -214,7 +155,6 @@ let () =
          Automatic Transformations on Computations and Data' (MICRO 2020)";
       Paper_experiments.run_all ()
   | "snapshot" :: rest -> snapshot_cmd rest
-  | "regress" :: rest -> regress_cmd rest
   | names ->
       (* every name is checked before any experiment runs *)
       let runs =
@@ -225,8 +165,8 @@ let () =
             | None ->
                 usage_error
                   (Printf.sprintf
-                     "unknown experiment %s (experiments: %s; subcommands: \
-                      snapshot, regress)"
+                     "unknown experiment %s (experiments: %s; subcommand: \
+                      snapshot)"
                      n
                      (String.concat ", " (List.map fst experiments))))
           names

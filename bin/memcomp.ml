@@ -17,26 +17,29 @@ let prog_of name small =
 
 type flow = F_naive | F_heuristic of Fusion.heuristic | F_ours | F_polymage | F_halide
 
+(* Every flow by its command-line name, in the order compare and verify
+   run them. *)
+let flows =
+  [ ("naive", F_naive);
+    ("minfuse", F_heuristic Fusion.Minfuse);
+    ("smartfuse", F_heuristic Fusion.Smartfuse);
+    ("maxfuse", F_heuristic Fusion.Maxfuse);
+    ("hybridfuse", F_heuristic Fusion.Hybridfuse);
+    ("ours", F_ours);
+    ("polymage", F_polymage);
+    ("halide", F_halide)
+  ]
+
+let flow_names = String.concat " | " (List.map fst flows)
+
 let flow_conv =
-  let parse = function
-    | "naive" -> Ok F_naive
-    | "minfuse" -> Ok (F_heuristic Fusion.Minfuse)
-    | "smartfuse" -> Ok (F_heuristic Fusion.Smartfuse)
-    | "maxfuse" -> Ok (F_heuristic Fusion.Maxfuse)
-    | "hybridfuse" -> Ok (F_heuristic Fusion.Hybridfuse)
-    | "ours" -> Ok F_ours
-    | "polymage" -> Ok F_polymage
-    | "halide" -> Ok F_halide
-    | s -> Error (`Msg (Printf.sprintf "unknown flow %s" s))
+  let parse s =
+    match List.assoc_opt s flows with
+    | Some f -> Ok f
+    | None -> Error (`Msg (Printf.sprintf "unknown flow %s" s))
   in
   let print fmt f =
-    Format.pp_print_string fmt
-      (match f with
-      | F_naive -> "naive"
-      | F_heuristic h -> Fusion.heuristic_name h
-      | F_ours -> "ours"
-      | F_polymage -> "polymage"
-      | F_halide -> "halide")
+    Format.pp_print_string fmt (fst (List.find (fun (_, g) -> g = f) flows))
   in
   Arg.conv (parse, print)
 
@@ -127,8 +130,7 @@ let flow_arg =
   Arg.(
     value
     & opt flow_conv F_ours
-    & info [ "f"; "flow" ] ~docv:"FLOW"
-        ~doc:"naive | minfuse | smartfuse | maxfuse | hybridfuse | ours | polymage | halide.")
+    & info [ "f"; "flow" ] ~docv:"FLOW" ~doc:(flow_names ^ "."))
 
 let jobs_arg =
   Arg.(
@@ -265,12 +267,6 @@ let compare_cmd =
     let finish = obs_begin ~stats ~trace () in
     let prog = prog_of workload small in
     let reference = Exp_util.naive prog in
-    let flows =
-      [ F_naive; F_heuristic Fusion.Minfuse; F_heuristic Fusion.Smartfuse;
-        F_heuristic Fusion.Maxfuse; F_heuristic Fusion.Hybridfuse; F_polymage;
-        F_halide; F_ours
-      ]
-    in
     let mismatches = ref [] in
     let rows =
       List.map
@@ -284,7 +280,7 @@ let compare_cmd =
             Printf.sprintf "%.2f" v.Exp_util.compile_s;
             (if ok then "ok" else "MISMATCH")
           ])
-        flows
+        (List.map snd flows)
     in
     Exp_util.print_table
       ~header:[ "flow"; "1t (ms)"; "32t (ms)"; "compile (s)"; "semantics" ]
@@ -348,9 +344,7 @@ let verify_cmd =
       value
       & opt (some flow_conv) None
       & info [ "f"; "flow" ] ~docv:"FLOW"
-          ~doc:
-            "Verify a single flow (naive | minfuse | smartfuse | maxfuse | \
-             hybridfuse | ours | polymage | halide); default: all of them.")
+          ~doc:("Verify a single flow (" ^ flow_names ^ "); default: all of them."))
   in
   let static_only =
     Arg.(
@@ -361,15 +355,7 @@ let verify_cmd =
   let run workload tile small flow static_only stats trace =
     let finish = obs_begin ~stats ~trace () in
     let prog = prog_of workload small in
-    let flows =
-      match flow with
-      | Some f -> [ f ]
-      | None ->
-          [ F_naive; F_heuristic Fusion.Minfuse; F_heuristic Fusion.Smartfuse;
-            F_heuristic Fusion.Maxfuse; F_heuristic Fusion.Hybridfuse; F_ours;
-            F_polymage; F_halide
-          ]
-    in
+    let flows = match flow with Some f -> [ f ] | None -> List.map snd flows in
     let reference = lazy (Exp_util.naive prog) in
     let failed = ref false in
     List.iter

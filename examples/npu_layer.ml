@@ -17,7 +17,7 @@ let () =
     Printf.printf "%s: %d operator groups\n" label (List.length cs);
     List.iter
       (fun (c : Footprints.cluster) ->
-        let t = Footprints.cluster_traffic prog ~previous:[] c in
+        let t = Footprints.cluster_traffic prog c in
         Printf.printf "  [%s] staged=[%s] ddr read %dB write %dB\n"
           (String.concat ", " c.Footprints.stmts)
           (String.concat ", " c.Footprints.staged_arrays)

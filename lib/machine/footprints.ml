@@ -262,8 +262,7 @@ let access_transactions p (c : cluster) stmt_name (acc : Prog.access) =
 (* Per-array attribution is the primitive; the totals below are defined
    as sums over it, so per-array traffic always adds up to the program
    totals exactly (the same integer terms, regrouped). *)
-let cluster_traffic_by_array (p : Prog.t) ~previous (c : cluster) =
-  ignore previous;
+let cluster_traffic_by_array (p : Prog.t) (c : cluster) =
   let tbl : (string, int ref * int ref) Hashtbl.t = Hashtbl.create 8 in
   let cell a =
     match Hashtbl.find_opt tbl a with
@@ -317,34 +316,31 @@ let cluster_traffic_by_array (p : Prog.t) ~previous (c : cluster) =
     tbl []
   |> List.sort compare
 
-let cluster_traffic (p : Prog.t) ~previous (c : cluster) =
+let cluster_traffic (p : Prog.t) (c : cluster) =
   List.fold_left
     (fun acc (_, t) ->
       { read_bytes = acc.read_bytes + t.read_bytes;
         write_bytes = acc.write_bytes + t.write_bytes
       })
     { read_bytes = 0; write_bytes = 0 }
-    (cluster_traffic_by_array p ~previous c)
+    (cluster_traffic_by_array p c)
 
 let program_traffic_by_array (p : Prog.t) clusters =
   let tbl : (string, traffic) Hashtbl.t = Hashtbl.create 8 in
-  let rec go prev = function
-    | [] -> ()
-    | c :: rest ->
-        List.iter
-          (fun (a, t) ->
-            let acc =
-              Option.value ~default:{ read_bytes = 0; write_bytes = 0 }
-                (Hashtbl.find_opt tbl a)
-            in
-            Hashtbl.replace tbl a
-              { read_bytes = acc.read_bytes + t.read_bytes;
-                write_bytes = acc.write_bytes + t.write_bytes
-              })
-          (cluster_traffic_by_array p ~previous:prev c);
-        go (prev @ [ c ]) rest
-  in
-  go [] clusters;
+  List.iter
+    (fun c ->
+      List.iter
+        (fun (a, t) ->
+          let acc =
+            Option.value ~default:{ read_bytes = 0; write_bytes = 0 }
+              (Hashtbl.find_opt tbl a)
+          in
+          Hashtbl.replace tbl a
+            { read_bytes = acc.read_bytes + t.read_bytes;
+              write_bytes = acc.write_bytes + t.write_bytes
+            })
+        (cluster_traffic_by_array p c))
+    clusters;
   Hashtbl.fold (fun a t acc -> (a, t) :: acc) tbl [] |> List.sort compare
 
 let program_traffic (p : Prog.t) clusters =

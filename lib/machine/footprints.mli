@@ -13,8 +13,8 @@
     - other reads cost one transaction per (tile, element) pair — the
       element is loaded once per tile that needs it (shared-memory /
       scratchpad staging granularity);
-    - writes cost one transaction per element, and only arrays that are
-      live-out or read by a later cluster are written back. *)
+    - writes cost one transaction per element: every array a cluster
+      writes and does not stage is written back. *)
 
 open Presburger
 
@@ -41,13 +41,10 @@ val clusters_of_compiled : Core.Pipeline.compiled -> cluster list
 
 val clusters_of_baseline : tile_size:int -> Core.Pipeline.baseline -> cluster list
 
-val cluster_traffic : Prog.t -> previous:cluster list -> cluster -> traffic
-(** [previous] is the list of clusters executing before this one (used
-    to decide write-back of intermediates read later). The full program
-    live-out set always forces write-back. *)
+val cluster_traffic : Prog.t -> cluster -> traffic
+(** Off-chip traffic of one cluster under the rules above. *)
 
-val cluster_traffic_by_array :
-  Prog.t -> previous:cluster list -> cluster -> (string * traffic) list
+val cluster_traffic_by_array : Prog.t -> cluster -> (string * traffic) list
 (** {!cluster_traffic} broken down by array (sorted by name). The
     per-array attribution is the primitive the totals are defined over,
     so its components sum to {!cluster_traffic} exactly. *)
@@ -61,10 +58,8 @@ val staged_bytes : Prog.t -> cluster -> int
     tiles of the staged footprints). *)
 
 val program_traffic : Prog.t -> cluster list -> traffic
-(** Total off-chip traffic of an ordered cluster list: sums
-    {!cluster_traffic} with the running prefix as [previous], so
-    write-back of intermediates read by later clusters is charged
-    exactly once. *)
+(** Total off-chip traffic of a cluster list: the sum of
+    {!cluster_traffic} over the clusters. *)
 
 val max_staged_bytes : Prog.t -> cluster list -> int
 (** Largest per-tile on-chip staging requirement over the clusters (the

@@ -26,7 +26,7 @@ type kernel_time = {
   kt_spilled : bool;
 }
 
-let kernel_time cfg (p : Prog.t) ~previous (c : Footprints.cluster) =
+let kernel_time cfg (p : Prog.t) (c : Footprints.cluster) =
   let spilled =
     c.Footprints.staged_arrays <> []
     && Footprints.staged_bytes p c > cfg.shared_kb * 1024
@@ -34,7 +34,7 @@ let kernel_time cfg (p : Prog.t) ~previous (c : Footprints.cluster) =
   let c_eff =
     if spilled then { c with Footprints.staged_arrays = [] } else c
   in
-  let traffic = Footprints.cluster_traffic p ~previous c_eff in
+  let traffic = Footprints.cluster_traffic p c_eff in
   let blocks =
     if c.Footprints.parallel_tiles then max 1 c.Footprints.tile_count else 1
   in
@@ -48,12 +48,7 @@ let kernel_time cfg (p : Prog.t) ~previous (c : Footprints.cluster) =
   let kt_memory_us = float_of_int bytes /. (cfg.mem_gbps *. 1e3) in
   { kt_compute_us; kt_memory_us; kt_launch_us = cfg.launch_us; kt_spilled = spilled }
 
-let kernel_times cfg p clusters =
-  let rec go previous = function
-    | [] -> []
-    | c :: rest -> kernel_time cfg p ~previous c :: go (previous @ [ c ]) rest
-  in
-  go [] clusters
+let kernel_times cfg p clusters = List.map (kernel_time cfg p) clusters
 
 let time_ms cfg p clusters =
   let ks = kernel_times cfg p clusters in

@@ -18,13 +18,13 @@ let ascend910 =
     unified_buffer_kb = 256
   }
 
-let cluster_time cfg (p : Prog.t) ~kind_of ~previous (c : Footprints.cluster) =
+let cluster_time cfg (p : Prog.t) ~kind_of (c : Footprints.cluster) =
   let spilled =
     c.Footprints.staged_arrays <> []
     && Footprints.staged_bytes p c > cfg.unified_buffer_kb * 1024
   in
   let c_eff = if spilled then { c with Footprints.staged_arrays = [] } else c in
-  let traffic = Footprints.cluster_traffic p ~previous c_eff in
+  let traffic = Footprints.cluster_traffic p c_eff in
   let bytes = traffic.Footprints.read_bytes + traffic.Footprints.write_bytes in
   let transfer_us = float_of_int bytes /. (cfg.ddr_gbps *. 1e3) in
   let compute_cycles =
@@ -48,9 +48,5 @@ let cluster_time cfg (p : Prog.t) ~kind_of ~previous (c : Footprints.cluster) =
   +. cfg.launch_us
 
 let time_ms cfg p ~kind_of clusters =
-  let rec go previous = function
-    | [] -> 0.0
-    | c :: rest ->
-        cluster_time cfg p ~kind_of ~previous c +. go (previous @ [ c ]) rest
-  in
-  go [] clusters /. 1000.0
+  List.fold_right (fun c acc -> cluster_time cfg p ~kind_of c +. acc) clusters 0.0
+  /. 1000.0

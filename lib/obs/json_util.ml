@@ -1,9 +1,9 @@
 (* Shared JSON primitives for the observability layer.
 
    One escaper for every JSON producer in the tree (the Obs Chrome
-   trace, snapshot databases, tuning reports), one typed payload
-   value, the minimal JSON document parser/printer, and the file I/O
-   of the snapshot and tuning databases. Keeping them here, below Obs
+   trace, explain and tuning reports), one typed payload value, the
+   minimal JSON document parser/printer, and the file I/O of the
+   tuning database. Keeping them here, below Obs
    in the dependency graph, means every module escapes strings
    byte-identically. *)
 
@@ -53,8 +53,8 @@ let value_to_string = function
   | B b -> string_of_bool b
 
 (* ------------------------------------------------------------------ *)
-(* Minimal JSON documents: enough for the snapshot schema and the      *)
-(* tuning database; exact float round-trip via %.17g.                  *)
+(* Minimal JSON documents: enough for the tuning database and the     *)
+(* reports; exact float round-trip via %.17g.                          *)
 (* ------------------------------------------------------------------ *)
 
 module Json = struct

@@ -20,7 +20,7 @@ val value_to_string : value -> string
 (** Human-readable rendering (no quotes around strings). *)
 
 (** Minimal JSON documents — parser and printer sufficient for the
-    snapshot schema, the tuning database and tuning reports. Floats print
+    tuning database and the explain and tuning reports. Floats print
     with [%.17g] so every finite double round-trips exactly. *)
 module Json : sig
   type t =

@@ -10,8 +10,7 @@
    Hits, misses and evicted entries are counted in Obs only
    (fm.cache.<name>.hit / .miss / .evict plus the fm.cache.hit /
    fm.cache.miss / fm.cache.evict aggregates), so cache behaviour lands
-   in `bench snapshot` databases and is gated exactly by `bench
-   regress`.
+   in `bench snapshot` lines and the exact-count gate covers it.
 
    [set_enabled false] disables memoization: the exact paths are simply
    recomputed, and results are identical by construction, which the

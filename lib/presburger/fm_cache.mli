@@ -8,8 +8,7 @@
     generation promote the entry. Hits, misses and evictions are
     counted in Obs as [fm.cache.<name>.hit/.miss/.evict] plus the
     [fm.cache.hit/.miss/.evict] aggregates, so they appear in
-    [bench snapshot] databases and are gated exactly by
-    [bench regress].
+    [bench snapshot] lines and the exact-count gate covers them.
 
     {!set_enabled}[ false] disables memoization — results are then
     recomputed exactly and must be bit-identical, which

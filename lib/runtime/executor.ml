@@ -205,6 +205,7 @@ let run_stealing ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
   let n = Tile_graph.n_items g in
   let preds = Array.map Atomic.make g.Tile_graph.preds in
   let pending = Atomic.make n in
+  let failed = Atomic.make None in
   let deques = Array.init jobs (fun _ -> Deque.create ()) in
   let seeded = ref 0 in
   Array.iteri
@@ -235,35 +236,44 @@ let run_stealing ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =
     in
     let idle = ref 0 in
     let rec loop () =
-      match find () with
-      | Some i ->
-          idle := 0;
-          exec_item ~g ~race ~run0 w i;
-          List.iter
-            (fun j ->
-              if Atomic.fetch_and_add preds.(j) (-1) = 1 then
-                Deque.push deques.(w.wid) j)
-            g.Tile_graph.succs.(i);
-          ignore (Atomic.fetch_and_add pending (-1));
-          loop ()
-      | None ->
-          if Atomic.get pending > 0 then begin
-            (* back off instead of spinning: on machines with fewer
-               cores than workers a hot spin loop starves the domains
-               that still hold work *)
-            idle := !idle + 1;
-            if !idle < 32 then Domain.cpu_relax ()
-            else Unix.sleepf 0.0002;
+      if Option.is_none (Atomic.get failed) then
+        match find () with
+        | Some i ->
+            idle := 0;
+            exec_item ~g ~race ~run0 w i;
+            List.iter
+              (fun j ->
+                if Atomic.fetch_and_add preds.(j) (-1) = 1 then
+                  Deque.push deques.(w.wid) j)
+              g.Tile_graph.succs.(i);
+            ignore (Atomic.fetch_and_add pending (-1));
             loop ()
-          end
+        | None ->
+            if Atomic.get pending > 0 then begin
+              (* back off instead of spinning: on machines with fewer
+                 cores than workers a hot spin loop starves the domains
+                 that still hold work *)
+              idle := !idle + 1;
+              if !idle < 32 then Domain.cpu_relax ()
+              else Unix.sleepf 0.0002;
+              loop ()
+            end
     in
-    loop ()
+    (* a raising tile never releases its successors, so [pending] would
+       stay positive forever: the first exception stops every worker *)
+    try loop ()
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (Atomic.compare_and_set failed None (Some (e, bt)))
   in
   let doms =
     Array.init (jobs - 1) (fun k -> Domain.spawn (work workers.(k + 1)))
   in
   work workers.(0) ();
   Array.iter Domain.join doms;
+  Option.iter
+    (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (Atomic.get failed);
   metrics_of workers
 
 let run ~jobs ~race_check (p : Prog.t) (g : Tile_graph.t) mem =

@@ -43,7 +43,9 @@ val run :
     ready items from its own deque and stealing from the others', with
     atomic predecessor counters releasing successors. Item ids are a
     topological order and opaque items are ordered against every other
-    item, so no schedule needs a fallback. *)
+    item, so no schedule needs a fallback. The first exception a tile
+    raises stops every worker; the domains are joined and it is
+    re-raised. *)
 
 val run_sequential :
   ?order:int array ->

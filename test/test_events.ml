@@ -203,17 +203,14 @@ let test_attribution_sums_exactly () =
           check int
             (Printf.sprintf "%s/%s: write bytes sum exactly" name flow)
             total.Footprints.write_bytes w;
-          (* cluster level, every prefix *)
-          let rec walk previous = function
-            | [] -> ()
-            | c :: rest ->
-                let t = Footprints.cluster_traffic p ~previous c in
-                let cr, cw = sum (Footprints.cluster_traffic_by_array p ~previous c) in
-                check int "cluster read bytes sum exactly" t.Footprints.read_bytes cr;
-                check int "cluster write bytes sum exactly" t.Footprints.write_bytes cw;
-                walk (previous @ [ c ]) rest
-          in
-          walk [] cs)
+          (* cluster level *)
+          List.iter
+            (fun c ->
+              let t = Footprints.cluster_traffic p c in
+              let cr, cw = sum (Footprints.cluster_traffic_by_array p c) in
+              check int "cluster read bytes sum exactly" t.Footprints.read_bytes cr;
+              check int "cluster write bytes sum exactly" t.Footprints.write_bytes cw)
+            cs)
         [ ("ours", Exp_util.ours ~tile:8 ~target:Core.Pipeline.Cpu p);
           ( "smartfuse",
             Exp_util.heuristic ~tile:8 ~target:Core.Pipeline.Cpu Fusion.Smartfuse

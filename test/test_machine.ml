@@ -427,7 +427,7 @@ let test_cluster_staging () =
 let test_traffic_rules () =
   match Footprints.clusters_of_compiled compiled16 with
   | [ c ] ->
-      let t = Footprints.cluster_traffic conv16 ~previous:[] c in
+      let t = Footprints.cluster_traffic conv16 c in
       (* writes: only the live-out C (14x14 elements, 4 bytes) *)
       check int "write bytes" (14 * 14 * 4) t.Footprints.write_bytes;
       (* reads: A is staged (free); B and the original A image are read

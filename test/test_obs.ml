@@ -1,7 +1,8 @@
 (* Tests for the lib/obs observability layer: span nesting and timing
    monotonicity, counter accumulation/reset, disabled-mode no-op
-   behaviour, exact totals under concurrent domains, atomic reset, and
-   well-formedness of the Chrome trace and the stats table. *)
+   behaviour, exact totals under concurrent domains, atomic reset,
+   well-formedness of the Chrome trace and the stats table, and the
+   JSON parser/printer's round-trip and errors. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -223,6 +224,34 @@ let test_stats_table () =
   check bool "table lists counters" true (contains "some.counter");
   check bool "table lists histograms" true (contains "some.hist")
 
+(* ------------------------------------------------------------------ *)
+(* JSON parser and printer                                             *)
+(* ------------------------------------------------------------------ *)
+
+let test_json_value_roundtrip () =
+  let open Json_util.Json in
+  let j =
+    Obj
+      [ ("s", Str "a\"b\\c\nd");
+        ("n", Num 0.30000000000000004);
+        ("i", Num 42.0);
+        ("l", Arr [ Bool true; Bool false; Null ]);
+        ("o", Obj [ ("nested", Arr []) ])
+      ]
+  in
+  match parse (to_string j) with
+  | Ok j' -> check bool "value round-trip" true (j = j')
+  | Error msg -> Alcotest.failf "reparse failed: %s" msg
+
+let test_json_parse_errors () =
+  let open Json_util.Json in
+  List.iter
+    (fun s ->
+      match parse s with
+      | Ok _ -> Alcotest.failf "expected parse error for %S" s
+      | Error _ -> ())
+    [ "{"; "{\"a\":}"; "[1,]"; "tru"; "\"unterminated"; "{} trailing"; "" ]
+
 let () =
   Harness.run "obs"
     [ ( "modes",
@@ -245,5 +274,9 @@ let () =
         [ Alcotest.test_case "chrome trace well-formed" `Quick
             test_chrome_trace_json;
           Alcotest.test_case "stats table" `Quick test_stats_table
+        ] );
+      ( "json",
+        [ Alcotest.test_case "value round-trip" `Quick test_json_value_roundtrip;
+          Alcotest.test_case "parse errors" `Quick test_json_parse_errors
         ] )
     ]

@@ -230,6 +230,48 @@ let test_timeline_conservation () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
+(* A raising tile                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A tile that raises never releases its successors, so the other
+   workers must not wait for them: with each root tile's body replaced
+   by a call to an unknown statement, the exception leaves
+   [Executor.run] at 2 and at 4 workers. *)
+let test_raising_root_tile () =
+  List.iter
+    (fun name ->
+      let p, _, g = graph_of name in
+      let raising = Ast.Call { stmt = "no_such_stmt"; args = [] } in
+      Array.iteri
+        (fun root preds ->
+          if preds = 0 then
+            List.iter
+              (fun jobs ->
+                let items =
+                  Array.mapi
+                    (fun i it ->
+                      if i = root then { it with Tile_graph.body = raising }
+                      else it)
+                    g.Tile_graph.items
+                in
+                let mem = Interp.alloc p in
+                Cpu_model.deterministic_fill p mem;
+                let what =
+                  Printf.sprintf "%s root %d, %d workers" name root jobs
+                in
+                match
+                  Executor.run ~jobs ~race_check:false p
+                    { g with Tile_graph.items } mem
+                with
+                | _ -> Alcotest.failf "%s: returned" what
+                | exception Invalid_argument msg ->
+                    check bool (what ^ ": the tile's error") true
+                      (msg = "Interp: unknown statement no_such_stmt"))
+              [ 2; 4 ])
+        g.Tile_graph.preds)
+    [ "2mm"; "unsharp_mask" ]
+
+(* ------------------------------------------------------------------ *)
 (* Race checker                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -289,6 +331,10 @@ let () =
       ( "timelines",
         [ Alcotest.test_case "busy-time conservation across jobs" `Quick
             test_timeline_conservation
+        ] );
+      ( "failures",
+        [ Alcotest.test_case "raising root tile, 2 and 4 workers" `Quick
+            test_raising_root_tile
         ] );
       ( "race-checker",
         [ Alcotest.test_case "fires on reversed order" `Quick test_race_checker_fires;
