@@ -8,7 +8,8 @@
                                     included)
      bench/main.exe snapshot [--small] [--workloads a,b,c]
                                     print one sorted "workload flow metric
-                                    count" line per exact count; test/dune
+                                    count" line per exact count, the
+                                    tuner's choices included; test/dune
                                     diffs the --small run against
                                     BENCH_baseline_small.txt *)
 
@@ -107,6 +108,35 @@ let collect_one ~small (e : Registry.entry) (flow_name, compile) =
         flow_name (Printexc.to_string exn);
       None
 
+(* The tuner's decisions on a few workloads: one greedy tune at budget
+   8, one job and no database, reduced to the chosen and default scores
+   and the evaluation counts. Obs stays off, so no counter enters the
+   record, and the lines pin what the tuner picks. *)
+let tuned_workloads = [ "conv2d"; "harris"; "camera_pipeline"; "2mm" ]
+
+let tuned_one ~small (e : Registry.entry) =
+  let p = if small then e.Registry.small () else e.Registry.build () in
+  match Tuner.tune ~strategy:Tuner.Greedy ~budget:8 ~jobs:1 p with
+  | Ok r ->
+      let en = r.Tuner.r_entry in
+      let best = en.Tune_db.en_best_score in
+      Some
+        (List.map
+           (fun (metric, n) ->
+             Printf.sprintf "%s tuned %s %d" e.Registry.reg_name metric n)
+           [ ("tune.best.dram_bytes", best.Evaluator.sc_dram_bytes);
+             ("tune.best.staged_bytes", best.Evaluator.sc_staged_bytes);
+             ("tune.best.tiles", best.Evaluator.sc_tiles);
+             ("tune.best.wavefronts", best.Evaluator.sc_wavefronts);
+             ( "tune.default.dram_bytes",
+               en.Tune_db.en_default_score.Evaluator.sc_dram_bytes );
+             ("tune.evaluated", en.Tune_db.en_evaluated);
+             ("tune.illegal", en.Tune_db.en_illegal)
+           ])
+  | Error msg ->
+      Printf.eprintf "snapshot: %s/tuned failed: %s\n%!" e.Registry.reg_name msg;
+      None
+
 let snapshot_cmd args =
   let workloads = ref None in
   let small = ref false in
@@ -126,13 +156,21 @@ let snapshot_cmd args =
     | None -> Registry.all
     | Some names -> entries_of names
   in
+  let tuned =
+    List.filter
+      (fun e -> List.mem e.Registry.reg_name tuned_workloads)
+      entries
+  in
   let snapshots =
     List.concat_map
       (fun e -> List.filter_map (collect_one ~small:!small e) snapshot_flows)
       entries
+    @ List.filter_map (tuned_one ~small:!small) tuned
   in
   List.iter print_endline (List.sort compare (List.concat snapshots));
-  if List.length snapshots < List.length entries * List.length snapshot_flows
+  if
+    List.length snapshots
+    < (List.length entries * List.length snapshot_flows) + List.length tuned
   then exit 1
 
 let experiments =

@@ -104,6 +104,7 @@ let run ?(startup = Fusion.Smartfuse) ?(tile_size = 32) ?tile_sizes_for
 
 type baseline = {
   b_prog : Prog.t;
+  b_deps : Deps.t list;
   b_result : Fusion.result;
   b_tree : Schedule_tree.t;
 }
@@ -147,4 +148,4 @@ let run_heuristic ?(tile_size = 32) ?max_steps ?fuse_reductions ~target
   in
   Obs.add "pipeline.search_steps" result.Fusion.search_steps;
   Obs.add "pipeline.fusion_groups" (List.length result.Fusion.groups);
-  { b_prog = prog; b_result = result; b_tree = tree }
+  { b_prog = prog; b_deps = deps; b_result = result; b_tree = tree }

@@ -34,6 +34,7 @@ val run :
 
 type baseline = {
   b_prog : Prog.t;
+  b_deps : Deps.t list;  (** the dependences the fusion heuristic ran on *)
   b_result : Fusion.result;
   b_tree : Schedule_tree.t;
 }

@@ -118,7 +118,8 @@ let tree_of (p : Prog.t) v =
 let deps_of (p : Prog.t) v =
   match v.flavor with
   | Ours c -> c.Core.Pipeline.deps
-  | Naive | Baseline _ -> Deps.compute p
+  | Baseline (b, _) -> b.Core.Pipeline.b_deps
+  | Naive -> Deps.compute p
 
 let check_against (p : Prog.t) v1 v2 =
   let m1 = Cpu_model.run_to_memory p v1.ast in

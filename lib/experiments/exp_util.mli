@@ -44,8 +44,7 @@ val tree_of : Prog.t -> version -> Schedule_tree.t
 
 val deps_of : Prog.t -> version -> Deps.t list
 (** The dependences the version was compiled against (recomputed for
-    the naive and baseline flows), as the tile-graph runtime needs
-    them. *)
+    the naive flow), as the tile-graph runtime needs them. *)
 
 val check_against : Prog.t -> version -> version -> bool
 (** Semantic equivalence of live-out arrays (interpreter oracle). *)

@@ -7,8 +7,6 @@ type cluster = {
   tile_count : int;
   parallel_tiles : bool;
       (* tiles can run concurrently (outer band coincident) *)
-  point_instances : int;
-  ops : int;
 }
 
 type traffic = { read_bytes : int; write_bytes : int }
@@ -63,21 +61,11 @@ let cluster_of_root (p : Prog.t) ~spaces (r : Core.Post_tiling.root) =
   let tile_count =
     Iset.card (Imap.range (List.assoc (List.hd live_stmts) inst_tiles))
   in
-  let point_instances, ops =
-    List.fold_left
-      (fun (inst, ops) (s, m) ->
-        let stmt = Prog.find_stmt p s in
-        let n = Imap.card m in
-        (inst + n, ops + (n * stmt.Prog.ops)))
-      (0, 0) inst_tiles
-  in
   { stmts = List.map fst inst_tiles;
     inst_tiles;
     staged_arrays;
     tile_count;
-    parallel_tiles = Fusion.n_parallel liveout.Core.Spaces.group >= 1;
-    point_instances;
-    ops
+    parallel_tiles = Fusion.n_parallel liveout.Core.Spaces.group >= 1
   }
 
 (* Trivial cluster (no tiling): the whole space is one tile. *)
@@ -101,21 +89,11 @@ let cluster_of_space ?only (p : Prog.t) (s : Core.Spaces.t) =
         (name, bound p (Imap.of_bmap m)))
       stmts
   in
-  let point_instances, ops =
-    List.fold_left
-      (fun (inst, ops) (name, m) ->
-        let stmt = Prog.find_stmt p name in
-        let n = Imap.card m in
-        (inst + n, ops + (n * stmt.Prog.ops)))
-      (0, 0) inst_tiles
-  in
   { stmts;
     inst_tiles;
     staged_arrays = [];
     tile_count = 1;
-    parallel_tiles = Fusion.n_parallel s.Core.Spaces.group >= 1;
-    point_instances;
-    ops
+    parallel_tiles = Fusion.n_parallel s.Core.Spaces.group >= 1
   }
 
 (* Cluster for a rectangular-tiled fusion group (the baseline flows). *)
@@ -147,21 +125,11 @@ let cluster_of_group (p : Prog.t) ~tile_size (g : Fusion.group) ~name =
       | (_, m) :: _ -> Iset.card (Imap.range m)
       | [] -> 0
     in
-    let point_instances, ops =
-      List.fold_left
-        (fun (inst, ops) (s, m) ->
-          let stmt = Prog.find_stmt p s in
-          let n = Imap.card m in
-          (inst + n, ops + (n * stmt.Prog.ops)))
-        (0, 0) inst_tiles
-    in
     { stmts = g.Fusion.stmts;
       inst_tiles;
       staged_arrays = [];
       tile_count;
-      parallel_tiles = Fusion.n_parallel g >= 1;
-      point_instances;
-      ops
+      parallel_tiles = Fusion.n_parallel g >= 1
     }
   end
 
@@ -239,6 +207,9 @@ let clusters_of_baseline ~tile_size (b : Core.Pipeline.baseline) =
       b.Core.Pipeline.b_result.Fusion.groups
   in
   finalize_staging p cs
+
+let stmt_instances (c : cluster) =
+  List.map (fun (s, m) -> (s, Imap.card m)) c.inst_tiles
 
 (* ------------------------------------------------------------------ *)
 (* Traffic                                                             *)

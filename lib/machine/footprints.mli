@@ -1,11 +1,14 @@
 (** Polyhedral traffic/footprint accounting shared by the analytic GPU
-    and NPU models.
+    and NPU models and the tuner's scoring.
 
     A compiled program is summarized as a list of clusters (one per
     generated kernel): the statements it executes, the relation from
     statement instances to the tiles that execute them (so recomputation
-    from overlapped tiling is counted), and which arrays are staged in
-    on-chip memory (fused intermediates).
+    from overlapped tiling is counted), which arrays are staged in
+    on-chip memory (fused intermediates) and how many tiles there are.
+    A cluster holds relations, not counts: building one visits no
+    instance, and {!stmt_instances} counts them only when a compute
+    term asks.
 
     Traffic rules, per cluster and array:
     - reads of an array written by the same cluster are served on-chip;
@@ -28,8 +31,6 @@ type cluster = {
   parallel_tiles : bool;
       (** tiles can run concurrently (the outer band is coincident);
           serialized fusions (maxfuse fallback) occupy a single unit *)
-  point_instances : int;  (** executed instances, recomputation included *)
-  ops : int;  (** executed operations, recomputation included *)
 }
 
 type traffic = {
@@ -40,6 +41,13 @@ type traffic = {
 val clusters_of_compiled : Core.Pipeline.compiled -> cluster list
 
 val clusters_of_baseline : tile_size:int -> Core.Pipeline.baseline -> cluster list
+
+val stmt_instances : cluster -> (string * int) list
+(** Executed instances per statement, in [inst_tiles] order,
+    recomputation included: an instance counts once per tile that
+    executes it. The model counts a statement's static domain, so a
+    dynamic loop that exits early executes fewer. Counting visits every
+    (instance, tile) pair, so call it only where the count is read. *)
 
 val cluster_traffic : Prog.t -> cluster -> traffic
 (** Off-chip traffic of one cluster under the rules above. *)

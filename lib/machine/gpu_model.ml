@@ -40,8 +40,13 @@ let kernel_time cfg (p : Prog.t) (c : Footprints.cluster) =
   in
   (* serialized clusters (no parallel tile loop) occupy a single SM *)
   let sms_used = float_of_int (min cfg.sms blocks) in
+  let ops =
+    List.fold_left
+      (fun acc (s, n) -> acc + (n * (Prog.find_stmt p s).Prog.ops))
+      0 (Footprints.stmt_instances c)
+  in
   let compute_cycles =
-    float_of_int c_eff.Footprints.ops /. (cfg.flops_per_sm_per_cycle *. sms_used)
+    float_of_int ops /. (cfg.flops_per_sm_per_cycle *. sms_used)
   in
   let kt_compute_us = compute_cycles /. cfg.freq_mhz in
   let bytes = traffic.Footprints.read_bytes + traffic.Footprints.write_bytes in

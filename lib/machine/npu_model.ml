@@ -29,16 +29,15 @@ let cluster_time cfg (p : Prog.t) ~kind_of (c : Footprints.cluster) =
   let transfer_us = float_of_int bytes /. (cfg.ddr_gbps *. 1e3) in
   let compute_cycles =
     List.fold_left
-      (fun acc (s, m) ->
-        let stmt = Prog.find_stmt p s in
-        let ops = float_of_int (Presburger.Imap.card m * stmt.Prog.ops) in
+      (fun acc (s, n) ->
+        let ops = float_of_int (n * (Prog.find_stmt p s).Prog.ops) in
         let throughput =
           match kind_of s with
           | Cube -> cfg.cube_flops_per_cycle
           | Vector -> cfg.vector_flops_per_cycle
         in
         acc +. (ops /. throughput))
-      0.0 c.Footprints.inst_tiles
+      0.0 (Footprints.stmt_instances c)
   in
   let compute_us = compute_cycles /. cfg.freq_mhz in
   (* DMA and compute overlap imperfectly on the chip; charge the max plus

@@ -51,4 +51,4 @@ val report_markdown : result -> string
 
 val report_json : result -> Json_util.Json.t
 (** The same report as one JSON object (stable field names; used by
-    [memcomp tune --json] and the CI smoke gate). *)
+    [memcomp tune --json]). *)

@@ -3,8 +3,10 @@
    with an instant cache hit on the second tune, footprint pruning that
    never drops the known-best conv2d configuration, legality of every
    scored candidate (re-checked against the independent verifier, not
-   just the tuner's own bookkeeping), and the strategy ordering
-   exhaustive <= greedy <= default on a small space. *)
+   just the tuner's own bookkeeping), the strategy ordering
+   exhaustive <= greedy <= default on a small space, and a full-size
+   conv2d tune that never regresses DRAM or cost and repeats from its
+   database. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -196,7 +198,7 @@ let test_greedy_vs_exhaustive () =
   check bool "greedy spends no more evaluations than exhaustive" true
     (gr.Tuner.r_entry.Tune_db.en_evaluated
     <= ex.Tuner.r_entry.Tune_db.en_evaluated);
-  (* the DRAM guarantee the CI smoke gate relies on *)
+  (* the DRAM guarantee *)
   List.iter
     (fun r ->
       check bool "tuned DRAM <= default DRAM" true
@@ -215,6 +217,36 @@ let test_greedy_vs_exhaustive () =
         0
         (List.length rep.Legality.rep_violations))
     [ ex; gr ]
+
+(* --- full-size conv2d: the tuner's guarantees ----------------------- *)
+
+(* A greedy tune of full-size conv2d at budget 24 on two workers: the
+   chosen configuration models no more DRAM traffic and no higher cost
+   than the default, and a second tune against the same database answers
+   from it with the same choice. *)
+let test_conv2d_guarantees () =
+  let path = Filename.temp_file "tune_db" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let p = (Registry.find "conv2d").Registry.build () in
+      let tune () = run_tune ~budget:24 ~jobs:2 ~db_path:path p in
+      let r1 = tune () in
+      let e1 = r1.Tuner.r_entry in
+      check bool "tuned DRAM <= default DRAM" true
+        (e1.Tune_db.en_best_score.Evaluator.sc_dram_bytes
+        <= e1.Tune_db.en_default_score.Evaluator.sc_dram_bytes);
+      check bool "tuned cost <= default cost" true
+        (Evaluator.cost e1.Tune_db.en_best_score
+        <= Evaluator.cost e1.Tune_db.en_default_score);
+      check bool "first tune evaluated candidates" true
+        (e1.Tune_db.en_evaluated > 0);
+      check bool "first tune is not cached" false r1.Tuner.r_cached;
+      let r2 = tune () in
+      check bool "second tune is cached" true r2.Tuner.r_cached;
+      check string "cached best matches"
+        (Search_space.candidate_name e1.Tune_db.en_best)
+        (Search_space.candidate_name r2.Tuner.r_entry.Tune_db.en_best))
 
 let () =
   Harness.run "tuner"
@@ -235,5 +267,9 @@ let () =
       ( "strategies",
         [ Alcotest.test_case "exhaustive <= greedy <= default" `Slow
             test_greedy_vs_exhaustive
+        ] );
+      ( "conv2d",
+        [ Alcotest.test_case "no regression, cached repeat" `Slow
+            test_conv2d_guarantees
         ] )
     ]
