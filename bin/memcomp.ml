@@ -357,12 +357,15 @@ let verify_cmd =
     let prog = prog_of workload small in
     let flows = match flow with Some f -> [ f ] | None -> List.map snd flows in
     let reference = lazy (Exp_util.naive prog) in
+    let deps = Deps.compute prog in
     let failed = ref false in
     List.iter
       (fun f ->
         let v = version_of f ~tile prog in
         let tree = Exp_util.tree_of prog v in
-        let rep = Obs.span "verify.static" (fun () -> Legality.check prog tree) in
+        let rep =
+          Obs.span "verify.static" (fun () -> Legality.check prog ~deps tree)
+        in
         Printf.printf
           "flow %-10s static   %d occurrences, %d deps checked, %d inexact: %s\n"
           v.Exp_util.ver_name rep.Legality.rep_occurrences

@@ -242,6 +242,9 @@ let empty_cache : (int, bool) Fm_cache.t = Fm_cache.create "is_empty"
 let redundant_cache : (int, Cstr.t list) Fm_cache.t =
   Fm_cache.create "remove_redundant"
 
+let shadow_cache : (int * int, bool) Fm_cache.t =
+  Fm_cache.create "real_shadow_empty"
+
 let eliminate ~exact ~var cstrs =
   Obs.count "fm.eliminate";
   Obs.observe_int "fm.system_size" (List.length cstrs);
@@ -411,6 +414,16 @@ let is_empty_slow ~nvars cstrs =
             (fun c ->
               match Cstr.simplify c with Cstr.Trivial_false -> true | _ -> false)
             r
+
+(* Keyed on the raw list's interning, not its canonical form: with gcd
+   tightening the residue depends on the elimination order, so a
+   canonicalized system could answer differently. *)
+let real_shadow_empty ~nvars cstrs =
+  let sys = Hc.intern cstrs in
+  Fm_cache.find_or_add shadow_cache (sys.Hc.sys_id, nvars) (fun () ->
+      List.exists
+        (fun c -> Cstr.simplify c = Cstr.Trivial_false)
+        (eliminate_many ~exact:false ~vars:(all_vars nvars) sys.Hc.sys_cstrs))
 
 let is_empty_canonical ~nvars (sys : Hc.sys) =
   match sys.Hc.sys_cstrs with

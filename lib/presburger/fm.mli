@@ -51,6 +51,15 @@ val is_empty : nvars:int -> Cstr.t list -> bool
     the decision falls back to enumerating the rational relaxation box;
     {!Inexact} is then only raised for unbounded systems. *)
 
+val real_shadow_empty : nvars:int -> Cstr.t list -> bool
+(** Rational emptiness certificate: eliminate every variable with the
+    over-approximating real shadow ([~exact:false]) and look for a
+    contradiction in the residue. [true] proves the system has no
+    integer point; [false] decides nothing (it may still be integer
+    empty, e.g. [2x = 2y + 1]). Never enumerates, so it stays cheap on
+    wide systems where {!is_empty} would fall back to a bounded box.
+    Memoized on the list as given ({!Fm_cache}). *)
+
 val sample : nvars:int -> Cstr.t list -> int array option
 (** An integer point of the system, or [None] if empty. On the exact
     path the point is the lexicographic minimum over bounded dimensions;

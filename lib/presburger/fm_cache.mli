@@ -1,6 +1,8 @@
 (** Bounded memo tables for the Fourier-Motzkin hot paths
-    ({!Fm.is_empty}, {!Fm.eliminate}, {!Fm.remove_redundant}), keyed on
-    hash-consed canonical systems ({!Hc}).
+    ({!Fm.is_empty}, {!Fm.eliminate}, {!Fm.remove_redundant},
+    {!Fm.real_shadow_empty}), keyed on hash-consed system ids ({!Hc}):
+    of the canonical system for [is_empty] and [remove_redundant], of
+    the list as given for [eliminate] and [real_shadow_empty].
 
     Each cache is a two-generation table: when the young generation
     reaches 8192 entries, the old generation is dropped wholesale (a

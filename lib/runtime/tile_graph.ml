@@ -223,42 +223,82 @@ let extract ?(max_tiles = 1024) (p : Prog.t) ~(deps : Deps.t list) ast =
   walk ~depth:split_levels [] (-1) ast;
   let items = Array.of_list (List.rev !items) in
   let n = Array.length items in
-  let dep_pair = Hashtbl.create 32 in
+  (* The edge scan visits every item pair, so its inputs are built once
+     per extraction: each item's read and write boxes as arrays sorted
+     by a dense array id (a pair's box conflict is a merge, with no
+     hashing of names), its statements as dense ids, and a symmetric
+     matrix of the statement pairs with a dependence in either
+     direction. The predicate is unchanged: an opaque item is ordered
+     against every other, two analyzable items when their boxes
+     conflict and their statements depend. *)
+  let array_ids = Hashtbl.create 16 in
+  let array_id arr =
+    match Hashtbl.find_opt array_ids arr with
+    | Some k -> k
+    | None ->
+        let k = Hashtbl.length array_ids in
+        Hashtbl.add array_ids arr k;
+        k
+  in
+  let sorted_boxes tbl =
+    let a =
+      Hashtbl.to_seq tbl
+      |> Seq.map (fun (arr, b) -> (array_id arr, b))
+      |> Array.of_seq
+    in
+    Array.sort (fun (x, _) (y, _) -> compare x y) a;
+    a
+  in
+  let reads = Array.map (fun it -> sorted_boxes it.reads) items in
+  let writes = Array.map (fun it -> sorted_boxes it.writes) items in
+  let stmt_ids = Hashtbl.create 16 in
+  List.iteri
+    (fun k (s : Prog.stmt) -> Hashtbl.replace stmt_ids s.Prog.stmt_name k)
+    p.Prog.stmts;
+  let stmts =
+    Array.map
+      (fun it -> Array.of_list (List.map (Hashtbl.find stmt_ids) it.stmts))
+      items
+  in
+  let ns = Hashtbl.length stmt_ids in
+  let dep = Array.make_matrix ns ns false in
   List.iter
-    (fun (d : Deps.t) -> Hashtbl.replace dep_pair (d.Deps.src, d.Deps.dst) ())
+    (fun (d : Deps.t) ->
+      let id = Hashtbl.find_opt stmt_ids in
+      match (id d.Deps.src, id d.Deps.dst) with
+      | Some s, Some t ->
+          dep.(s).(t) <- true;
+          dep.(t).(s) <- true
+      | _ -> ())
     deps;
-  let stmt_dep a b =
-    List.exists
-      (fun s ->
-        List.exists
-          (fun t -> Hashtbl.mem dep_pair (s, t) || Hashtbl.mem dep_pair (t, s))
-          b.stmts)
-      a.stmts
+  let conflict (w : (int * box) array) (r : (int * box) array) =
+    let rec go i j =
+      i < Array.length w
+      && j < Array.length r
+      &&
+      let a, bw = w.(i) and b, br = r.(j) in
+      if a < b then go (i + 1) j
+      else if a > b then go i (j + 1)
+      else overlap bw br || go (i + 1) (j + 1)
+    in
+    go 0 0
   in
-  let tbl_conflict w r =
-    Hashtbl.fold
-      (fun arr box acc ->
-        acc
-        ||
-        match Hashtbl.find_opt r arr with
-        | Some box2 -> overlap box box2
-        | None -> false)
-      w false
-  in
-  let boxes_conflict a b =
-    tbl_conflict a.writes b.reads
-    || tbl_conflict a.writes b.writes
-    || tbl_conflict b.writes a.reads
+  let stmt_dep i j =
+    Array.exists
+      (fun s -> Array.exists (fun t -> dep.(s).(t)) stmts.(j))
+      stmts.(i)
   in
   let succs = Array.make n [] in
   let preds = Array.make n 0 in
   let n_edges = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let a = items.(i) and b = items.(j) in
       let edge =
-        if a.opaque || b.opaque then true
-        else boxes_conflict a b && stmt_dep a b
+        items.(i).opaque || items.(j).opaque
+        || (conflict writes.(i) reads.(j)
+           || conflict writes.(i) writes.(j)
+           || conflict writes.(j) reads.(i))
+           && stmt_dep i j
       in
       if edge then begin
         succs.(i) <- j :: succs.(i);

@@ -100,12 +100,13 @@ let score_version p (v : Exp_util.version) =
        else float_of_int tiles /. float_of_int wavefronts)
   }
 
-let evaluate_one p c =
+let evaluate_one p ~deps c =
   Obs.count "tuner.evaluated";
   match
     Obs.span "tuner.evaluate" (fun () ->
         let v = version_of ~target:Core.Pipeline.Cpu p c in
-        let report = Legality.check p (Exp_util.tree_of p v) in
+        let deps = match deps with Ok d -> d | Error e -> raise e in
+        let report = Legality.check p ~deps (Exp_util.tree_of p v) in
         match report.Legality.rep_violations with
         | vl :: _ -> Illegal (Legality.violation_string vl)
         | [] -> Scored (score_version p v))
@@ -120,19 +121,23 @@ let evaluate_one p c =
       Failed (Printexc.to_string e)
 
 let evaluate ?(jobs = 1) p cands =
+  (* The checker's dependences are the program's, the same for every
+     candidate: computed once per batch. A raising computation fails
+     each candidate, as a raising compile does. *)
+  let deps = match Deps.compute p with d -> Ok d | exception e -> Error e in
   let arr = Array.of_list cands in
   let n = Array.length arr in
   let out = Array.make n (Failed "not evaluated") in
   let jobs = max 1 (min jobs n) in
   if jobs <= 1 then
-    Array.iteri (fun i c -> out.(i) <- evaluate_one p c) arr
+    Array.iteri (fun i c -> out.(i) <- evaluate_one p ~deps c) arr
   else begin
     let next = Atomic.make 0 in
     let worker () =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          out.(i) <- evaluate_one p arr.(i);
+          out.(i) <- evaluate_one p ~deps arr.(i);
           loop ()
         end
       in

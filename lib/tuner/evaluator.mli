@@ -45,13 +45,11 @@ type outcome =
   | Illegal of string  (** static legality violation (hard reject) *)
   | Failed of string  (** compilation raised *)
 
-val evaluate_one : Prog.t -> Search_space.candidate -> outcome
-(** Compile for the CPU, verify and score one candidate. Never raises: a
-    raising compilation is [Failed]. *)
-
 val evaluate :
   ?jobs:int -> Prog.t -> Search_space.candidate list ->
   (Search_space.candidate * outcome) list
-(** Evaluate a batch, preserving input order. [jobs] > 1 fans the batch
-    out over that many domains (worker-pool pattern: one atomic work
-    index, domains drain it). *)
+(** Compile for the CPU, verify and score each candidate of a batch,
+    preserving input order. The program's dependences are computed
+    once for the batch. Never raises: a raising compilation is
+    [Failed]. [jobs] > 1 fans the batch out over that many domains
+    (worker-pool pattern: one atomic work index, domains drain it). *)

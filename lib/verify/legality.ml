@@ -265,23 +265,6 @@ let materialize ~m occ =
 let sys_empty ~nvars sys =
   try Fm.is_empty ~nvars sys with Fm.Inexact _ -> false
 
-(* Rational emptiness: eliminate every variable with the
-   over-approximating shadow and look for a contradiction. Sound in
-   the conservative direction only — [false] means "could not certify
-   empty" — but never falls into [Fm.is_empty]'s bounded-enumeration
-   fallback, which is intractable on the wide ordering systems the
-   coverage fast path generates. *)
-let sys_empty_rational ~nvars sys =
-  match
-    Fm.eliminate_many ~exact:false ~vars:(List.init nvars (fun i -> i)) sys
-  with
-  | residue ->
-      List.exists
-        (fun c ->
-          match Cstr.simplify c with Cstr.Trivial_false -> true | _ -> false)
-        residue
-  | exception Fm.Inexact _ -> false
-
 (* Occurrence with its flat system materialized once: [check] iterates
    the quadratic (source occurrence x destination occurrence x block
    level) space, so the per-occurrence work is hoisted out of it.
@@ -404,7 +387,7 @@ let candidates os od =
   List.sort_uniq (fun a b -> compare b a)
     (0 :: shared [] os.occ_path od.occ_path)
 
-let check (p : Prog.t) tree =
+let check (p : Prog.t) ~(deps : Deps.t list) tree =
   Obs.span "verify.check" @@ fun () ->
   let params = p.Prog.params in
   let occs = collect p tree in
@@ -421,7 +404,6 @@ let check (p : Prog.t) tree =
   let by_stmt name = List.filter (fun oc -> oc.o.occ_stmt = name) occs in
   let inexact = ref 0 in
   let violations = ref [] in
-  let deps = Obs.span "verify.deps" (fun () -> Deps.compute p) in
   let check_dep (d : Deps.t) =
     Obs.count "verify.deps_checked";
     let src_stmt = Prog.find_stmt p d.Deps.src in
@@ -583,11 +565,14 @@ let check (p : Prog.t) tree =
         in
         (* Fast path: does candidate (os, k) alone cover every needed
            arc? Tested as emptiness of [needed /\ bad(os, k)] disjunct
-           by disjunct on the unprojected systems — no Fourier-Motzkin
-           projections, and exact (emptiness of an exists-quantified
-           system is emptiness of its matrix). Negating one
-           source-prefix constraint at a time enumerates the pieces of
-           the bad-prefix complement. *)
+           by disjunct on the unprojected systems (emptiness of an
+           exists-quantified system is emptiness of its matrix).
+           Negating one source-prefix constraint at a time enumerates
+           the pieces of the bad-prefix complement. Each test is
+           [Fm.real_shadow_empty]: [true] proves the disjunct empty,
+           [false] only sends the arc to the exact path below. Its
+           answers are memoized, so the systems that recur across a
+           tune's candidates are eliminated once. *)
         let needed_pieces = Iset.pieces needed in
         let covers_all os k =
           match prefix_proj ~m ~k ~exact:true ~cache:proj_cache os with
@@ -635,7 +620,7 @@ let check (p : Prog.t) tree =
                           (fun c ->
                             List.for_all
                               (fun nc ->
-                                sys_empty_rational ~nvars:w3
+                                Fm.real_shadow_empty ~nvars:w3
                                   (nc :: rel3 rel @ pd3 @ np3 np))
                               (negations c))
                           ps3)
@@ -703,7 +688,7 @@ let check (p : Prog.t) tree =
                           let strict =
                             if pp < m then [ strict_at pp ] else []
                           in
-                          sys_empty_rational ~nvars:w4
+                          Fm.real_shadow_empty ~nvars:w4
                             (rel4 rel @ np4 np @ s4 @ d4 @ eqs @ strict))
                         (List.init (m - k + 1) (fun q -> k + q)))
                     needed_pieces)

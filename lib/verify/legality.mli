@@ -41,10 +41,12 @@ type report = {
       (** coverage candidates abandoned for lack of an exact projection *)
 }
 
-val check : Prog.t -> Schedule_tree.t -> report
+val check : Prog.t -> deps:Deps.t list -> Schedule_tree.t -> report
 (** Verify one final schedule tree against the program's dependences
-    and live-out coverage. An empty [rep_violations] means every
-    dependence arc was proven covered and every live-out writer
+    [deps] and live-out coverage. [deps] must be [Deps.compute p] (a
+    caller checking many trees of one program computes it once), never
+    the list a compile carried along. An empty [rep_violations] means
+    every dependence arc was proven covered and every live-out writer
     instance executes. *)
 
 val violation_string : violation -> string

@@ -605,12 +605,37 @@ let qcheck_cases =
       prop_reverse_involution
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Fm                                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The real shadow certifies emptiness; it does not decide integer
+   emptiness, which [Fm.is_empty] does. *)
+let test_real_shadow_empty () =
+  let contradiction = [ Cstr.ge [| 1 |] (-1); Cstr.ge [| -1 |] 0 ] in
+  check bool "x >= 1 and x <= 0" true
+    (Fm.real_shadow_empty ~nvars:1 contradiction);
+  let box =
+    [ Cstr.ge [| 1; 0 |] 0;
+      Cstr.ge [| -1; 0 |] 3;
+      Cstr.ge [| 0; 1 |] 0;
+      Cstr.ge [| 0; -1 |] 3
+    ]
+  in
+  check bool "4x4 box" false (Fm.real_shadow_empty ~nvars:2 box);
+  let odd = [ Cstr.eq [| 2; -2 |] (-1) ] in
+  check bool "2x = 2y + 1, real shadow" false
+    (Fm.real_shadow_empty ~nvars:2 odd);
+  check bool "2x = 2y + 1, integer emptiness" true (Fm.is_empty ~nvars:2 odd)
+
 let () =
   Harness.run "presburger"
     [ ( "vec",
         [ Alcotest.test_case "gcd and division" `Quick test_vec ] );
       ( "cstr",
         [ Alcotest.test_case "simplify" `Quick test_cstr_simplify ] );
+      ( "fm",
+        [ Alcotest.test_case "real_shadow_empty" `Quick test_real_shadow_empty ] );
       ( "bset",
         [ Alcotest.test_case "emptiness" `Quick test_set_empty;
           Alcotest.test_case "intersect/subtract/union" `Quick test_set_ops;

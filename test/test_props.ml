@@ -162,6 +162,7 @@ let prop_cached_equals_uncached st =
     in
     ( Bset.to_string i,
       Bset.is_empty i,
+      Fm.real_shadow_empty ~nvars:(Bset.width i) i.Bset.cstrs,
       Bset.is_subset a b,
       proj,
       Bset.to_string (Bset.gist_simplify a),

@@ -154,6 +154,7 @@ let test_all_evaluated_legal () =
   (* cap the batch to keep the test quick, but cover every flow *)
   let cands = List.filteri (fun i _ -> i < 12) cands in
   let results = Evaluator.evaluate p cands in
+  let deps = Deps.compute p in
   check bool "evaluated a non-empty batch" true (results <> []);
   List.iter
     (fun (c, o) ->
@@ -164,7 +165,7 @@ let test_all_evaluated_legal () =
           let v =
             Evaluator.version_of ~target:Core.Pipeline.Cpu p c
           in
-          let rep = Legality.check p (Exp_util.tree_of p v) in
+          let rep = Legality.check p ~deps (Exp_util.tree_of p v) in
           check
             Alcotest.(list string)
             (Printf.sprintf "%s verifies clean"
@@ -211,7 +212,9 @@ let test_greedy_vs_exhaustive () =
     (fun r ->
       let c = r.Tuner.r_entry.Tune_db.en_best in
       let v = Evaluator.version_of ~target:Core.Pipeline.Cpu p c in
-      let rep = Legality.check p (Exp_util.tree_of p v) in
+      let rep =
+        Legality.check p ~deps:(Deps.compute p) (Exp_util.tree_of p v)
+      in
       check int
         (Search_space.candidate_name c ^ ": winner has no violations")
         0

@@ -22,10 +22,11 @@ let flows_of p =
 let verify_workload reg_name =
   let e = Registry.find reg_name in
   let p = e.Registry.small () in
+  let deps = Deps.compute p in
   List.iter
     (fun (fname, v) ->
       let tree = Exp_util.tree_of p v in
-      let rep = Legality.check p tree in
+      let rep = Legality.check p ~deps tree in
       check Alcotest.(list string)
         (Printf.sprintf "%s/%s statically legal" reg_name fname)
         []
@@ -129,6 +130,8 @@ let drop_one_extension tree =
   in
   (!dropped, t)
 
+let check_tree p tree = Legality.check p ~deps:(Deps.compute p) tree
+
 let assert_rejected what (rep : Legality.report) =
   if rep.Legality.rep_violations = [] then
     Alcotest.failf "%s: mutation not rejected by the checker" what;
@@ -151,23 +154,23 @@ let mutation_swap_band () =
   let good = Legality.naive_tree p in
   check Alcotest.(list string) "antidiag baseline legal" []
     (List.map Legality.violation_string
-       (Legality.check p good).Legality.rep_violations);
+       (check_tree p good).Legality.rep_violations);
   let bad = map_band_pieces swap_first_two_out_dims good in
-  assert_rejected "swap band members" (Legality.check p bad)
+  assert_rejected "swap band members" (check_tree p bad)
 
 let mutation_negate_dim () =
   let p = antidiagonal_prog () in
   let bad = map_band_pieces (negate_out_dim 0) (Legality.naive_tree p) in
-  assert_rejected "reverse band dimension" (Legality.check p bad)
+  assert_rejected "reverse band dimension" (check_tree p bad)
 
 let mutation_reverse_sequence () =
   let p = (Registry.find "conv2d").Registry.small () in
   let good = Legality.naive_tree p in
   check Alcotest.(list string) "conv2d naive baseline legal" []
     (List.map Legality.violation_string
-       (Legality.check p good).Legality.rep_violations);
+       (check_tree p good).Legality.rep_violations);
   let bad = reverse_sequences good in
-  let rep = Legality.check p bad in
+  let rep = check_tree p bad in
   assert_rejected "reverse sequence" rep;
   if
     not
@@ -201,7 +204,7 @@ let mutation_drop_extension () =
   | Some (wname, vname, p, bad) ->
       assert_rejected
         (Printf.sprintf "drop extension (%s/%s)" wname vname)
-        (Legality.check p bad)
+        (check_tree p bad)
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic shadow validator: clean on an honest flow, loud on a
