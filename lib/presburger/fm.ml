@@ -294,15 +294,17 @@ let eliminate_many ~exact ~vars cstrs =
   go vars cstrs
 
 (* Per-variable constant bounds of the rational relaxation, used by the
-   enumeration fallbacks. [None] on a side means unbounded. *)
+   enumeration fallbacks; an infeasible relaxation gives [(0, -1)]. The
+   bounds are computed in index order, and the first variable unbounded
+   on either side raises Inexact without bounding the rest. *)
 let rational_box ~nvars cstrs =
   let bound_of v =
     let others = List.init nvars (fun i -> i) |> List.filter (fun i -> i <> v) in
     match dedup (eliminate_many ~exact:false ~vars:others cstrs) with
-    | None -> Some (0, -1)
+    | None -> (0, -1)
     | Some cs ->
         if List.exists (fun c -> Cstr.simplify c = Cstr.Trivial_false) cs then
-          Some (0, -1)
+          (0, -1)
         else begin
           let lowers, uppers =
             List.fold_left
@@ -318,11 +320,11 @@ let rational_box ~nvars cstrs =
               ([], []) cs
           in
           match (lowers, uppers) with
-          | [], _ | _, [] -> None
+          | [], _ | _, [] ->
+              raise (Inexact "enumeration fallback on unbounded system")
           | _ ->
-              Some
-                ( List.fold_left max (List.hd lowers) lowers,
-                  List.fold_left min (List.hd uppers) uppers )
+              ( List.fold_left max (List.hd lowers) lowers,
+                List.fold_left min (List.hd uppers) uppers )
         end
   in
   Array.init nvars bound_of
@@ -332,14 +334,7 @@ exception Found of int array
 (* Complete decision procedure for bounded systems: enumerate the
    rational box. Raises Inexact when some variable is unbounded. *)
 let find_point_by_enum ~nvars cstrs =
-  let box = rational_box ~nvars cstrs in
-  let bounds =
-    Array.map
-      (function
-        | Some b -> b
-        | None -> raise (Inexact "enumeration fallback on unbounded system"))
-      box
-  in
+  let bounds = rational_box ~nvars cstrs in
   let pt = Array.make nvars 0 in
   let rec go k =
     if k = nvars then begin
@@ -361,14 +356,7 @@ let find_point_by_enum ~nvars cstrs =
     with Found p -> Some p
 
 let iter_points_by_enum ~nvars cstrs f =
-  let box = rational_box ~nvars cstrs in
-  let bounds =
-    Array.map
-      (function
-        | Some b -> b
-        | None -> raise (Inexact "enumeration fallback on unbounded system"))
-      box
-  in
+  let bounds = rational_box ~nvars cstrs in
   let pt = Array.make nvars 0 in
   let rec go k =
     if k = nvars then begin

@@ -68,7 +68,9 @@ val sample : nvars:int -> Cstr.t list -> int array option
 val iter_points_by_enum : nvars:int -> Cstr.t list -> (int array -> unit) -> unit
 (** Enumerate every integer point (bounded systems only; the callback
     argument is reused across calls). Complete but potentially slow;
-    used as a fallback by counting operations. *)
+    used as a fallback by counting operations. Bounds the variables of
+    the rational relaxation in index order and raises {!Inexact} at the
+    first unbounded one, before bounding the rest or visiting a point. *)
 
 val bounds_for : var:int -> Cstr.t list -> (int * Cstr.t) list * (int * Cstr.t) list
 (** [(lowers, uppers)] for [var]: a lower entry [(a, c)] has

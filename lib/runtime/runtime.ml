@@ -14,9 +14,7 @@ let run ?(jobs = 1) ?(race_check = false) ?(seed = 42) (p : Prog.t) ~deps ast =
   Obs.span "runtime.run" @@ fun () ->
   let mem = Interp.alloc p in
   Cpu_model.deterministic_fill ~seed p mem;
-  let graph =
-    Obs.span "runtime.extract" (fun () -> Tile_graph.extract p ~deps ast)
-  in
+  let graph = Tile_graph.extract p ~deps ast in
   let t0 = Unix.gettimeofday () in
   let metrics =
     Obs.span "runtime.execute" (fun () ->

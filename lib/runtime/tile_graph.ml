@@ -160,6 +160,7 @@ let rec contains_point = function
 let split_levels = 2
 
 let extract ?(max_tiles = 1024) (p : Prog.t) ~(deps : Deps.t list) ast =
+  Obs.span "runtime.extract" @@ fun () ->
   let params = p.Prog.params in
   let items = ref [] in
   let n = ref 0 in

@@ -49,7 +49,8 @@ val extract : ?max_tiles:int -> Prog.t -> deps:Deps.t list -> Ast.t -> t
     cap, default 1024); beyond it whole subtrees coarsen into single
     items. ASTs without point markers fall back to enumerating up to
     two outer loop levels. Items whose accesses cannot be bounded
-    become opaque and are ordered against every other item. *)
+    become opaque and are ordered against every other item. Timed as
+    the [runtime.extract] span. *)
 
 val levels : t -> int array
 (** Wavefront level of each item: longest edge path from a root. *)

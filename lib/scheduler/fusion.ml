@@ -33,26 +33,55 @@ let n_parallel g =
 (* Dependence distance bounds per band dimension                       *)
 (* ------------------------------------------------------------------ *)
 
+(* One piece of a dependence relation, with memo slots for its distance
+   bounds: [slots.(dim)] holds [Deps.delta_bounds] on that dimension once
+   a group asks for it. [schedule] builds its pieces once, so a call
+   computes each bound at most once. *)
+type piece = {
+  p_src : string;
+  p_dst : string;
+  rel : Bmap.t;
+  slots : (int option * int option) option array;
+}
+
+let pieces_of (deps : Deps.t list) =
+  List.concat_map
+    (fun (d : Deps.t) ->
+      List.map
+        (fun rel ->
+          { p_src = d.Deps.src;
+            p_dst = d.Deps.dst;
+            rel;
+            slots = Array.make (min (Bmap.n_in rel) (Bmap.n_out rel)) None
+          })
+        (Imap.pieces d.Deps.rel))
+    deps
+
+let bound_of (p : Prog.t) pc dim =
+  match pc.slots.(dim) with
+  | Some b -> b
+  | None ->
+      let b = Deps.delta_bounds p pc.rel ~src_dim:dim ~dst_dim:dim in
+      pc.slots.(dim) <- Some b;
+      b
+
 (* All dependence pieces between two statements of a candidate group,
    with distance bounds on each of the first [band_dims] dimensions.
    Distances are only meaningful on dims shared by both statements. *)
 type edge = { e_src : string; e_dst : string; bounds : (int option * int option) array }
 
-let edges_of (p : Prog.t) ~(deps : Deps.t list) ~band_dims stmts =
+let edges_of p pieces ~band_dims stmts =
   let in_group s = List.mem s stmts in
-  List.concat_map
-    (fun (d : Deps.t) ->
-      if in_group d.Deps.src && in_group d.Deps.dst then
-        List.map
-          (fun piece ->
-            let bounds =
-              Array.init band_dims (fun dim ->
-                  Deps.delta_bounds p piece ~src_dim:dim ~dst_dim:dim)
-            in
-            { e_src = d.Deps.src; e_dst = d.Deps.dst; bounds })
-          (Imap.pieces d.Deps.rel)
-      else [])
-    deps
+  List.filter_map
+    (fun pc ->
+      if in_group pc.p_src && in_group pc.p_dst then
+        Some
+          { e_src = pc.p_src;
+            e_dst = pc.p_dst;
+            bounds = Array.init band_dims (bound_of p pc)
+          }
+      else None)
+    pieces
 
 (* Minimal non-negative shifts satisfying, for every edge and dim,
    lo + shift(dst) - shift(src) >= 0. Difference-constraint solving by
@@ -146,11 +175,11 @@ let max_band_dims (p : Prog.t) stmts =
   in
   if d = max_int then 0 else d
 
-let group_of_stmts ?band_dims (p : Prog.t) ~deps stmts =
+let group_of ?band_dims (p : Prog.t) pieces stmts =
   let band_dims =
     match band_dims with Some d -> d | None -> max_band_dims p stmts
   in
-  let edges = edges_of p ~deps ~band_dims stmts in
+  let edges = edges_of p pieces ~band_dims stmts in
   match solve_shifts ~band_dims ~stmts edges with
   | Some shifts ->
       let permutable, coincident = attributes ~band_dims ~shifts edges in
@@ -164,6 +193,9 @@ let group_of_stmts ?band_dims (p : Prog.t) ~deps stmts =
         coincident = Array.make band_dims false;
         serialized = true
       }
+
+let group_of_stmts ?band_dims p ~deps stmts =
+  group_of ?band_dims p (pieces_of deps) stmts
 
 (* ------------------------------------------------------------------ *)
 (* Heuristics                                                          *)
@@ -182,30 +214,41 @@ let connected deps g1 g2 =
    it validates its shifts by exhaustively enumerating candidate shift
    vectors before falling back to the difference-constraint solution.
    The enumeration honestly explores (shift range)^(stmts * dims)
-   candidates, counted against [max_steps]. *)
+   candidates, counted against [max_steps]. Each edge and band dimension
+   is one flat row of [rows]: source slot, destination slot and lower
+   distance, valid when [lo + vec.(dst) - vec.(src) >= 0]; an unbounded
+   lower distance fails every vector. *)
 let maxfuse_search ~max_steps ~steps ~band_dims candidate edges =
   let n = List.length candidate.stmts in
   let range = 4 in
   let dims = band_dims * n in
   let vec = Array.make dims 0 in
-  let shift_of =
-    let tbl = Hashtbl.create 8 in
-    List.iteri (fun i s -> Hashtbl.add tbl s i) candidate.stmts;
-    fun s -> Hashtbl.find tbl s
+  let slot s dim =
+    (Option.get (List.find_index (( = ) s) candidate.stmts) * band_dims) + dim
+  in
+  let unbounded =
+    List.exists (fun e -> Array.exists (fun (lo, _) -> lo = None) e.bounds) edges
+  in
+  let rows =
+    Array.of_list
+      (List.concat_map
+         (fun e ->
+           List.concat
+             (List.init band_dims (fun dim ->
+                  [ slot e.e_src dim;
+                    slot e.e_dst dim;
+                    Option.value ~default:0 (fst e.bounds.(dim))
+                  ])))
+         edges)
   in
   let valid () =
-    List.for_all
-      (fun e ->
-        let si = shift_of e.e_src and di = shift_of e.e_dst in
-        let ok = ref true in
-        for dim = 0 to band_dims - 1 do
-          let adj = vec.((di * band_dims) + dim) - vec.((si * band_dims) + dim) in
-          match fst e.bounds.(dim) with
-          | Some lo -> if lo + adj < 0 then ok := false
-          | None -> ok := false
-        done;
-        !ok)
-      edges
+    let ok = ref (not unbounded) and r = ref 0 in
+    while !ok && !r < Array.length rows do
+      if rows.(!r + 2) + vec.(rows.(!r + 1)) - vec.(rows.(!r)) < 0 then
+        ok := false;
+      r := !r + 3
+    done;
+    !ok
   in
   let exceeded = ref false in
   let rec enum k =
@@ -287,12 +330,13 @@ let schedule ?(max_steps = 2_000_000) ?(fuse_reductions = true) (p : Prog.t)
   Obs.span "fusion.schedule" @@ fun () ->
   let steps = ref 0 in
   let budget_exceeded = ref false in
+  let pieces = pieces_of deps in
   let atoms = merge_nest_atoms p (Deps.sccs p deps) in
   let atom_groups =
     List.map
       (fun stmts ->
         steps := !steps + List.length stmts;
-        group_of_stmts p ~deps stmts)
+        group_of p pieces stmts)
       atoms
   in
   (* [try_merge] returns the fused candidate or, on rejection, the
@@ -332,7 +376,7 @@ let schedule ?(max_steps = 2_000_000) ?(fuse_reductions = true) (p : Prog.t)
                   ("band_dims_tried", Obs.I max_bd) :: !deepest )
             else begin
               steps := !steps + List.length stmts;
-              let candidate = group_of_stmts ~band_dims:bd p ~deps stmts in
+              let candidate = group_of ~band_dims:bd p pieces stmts in
               if bd = max_bd then
                 deepest :=
                   [ ("serialized", Obs.B candidate.serialized);
@@ -351,9 +395,9 @@ let schedule ?(max_steps = 2_000_000) ?(fuse_reductions = true) (p : Prog.t)
           attempt max_bd
         end
     | Maxfuse ->
-        let candidate = group_of_stmts p ~deps stmts in
+        let candidate = group_of p pieces stmts in
         let edges =
-          edges_of p ~deps ~band_dims:candidate.band_dims candidate.stmts
+          edges_of p pieces ~band_dims:candidate.band_dims candidate.stmts
         in
         let exceeded =
           maxfuse_search ~max_steps ~steps ~band_dims:candidate.band_dims

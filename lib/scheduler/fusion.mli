@@ -27,7 +27,8 @@ type result = {
   groups : group list;  (** topological order *)
   search_steps : int;
       (** scheduling-search work performed (the compile-time proxy;
-          wall-clock is also measured by the benches) *)
+          wall-clock is also measured by the benches); maxfuse adds
+          one step per shift vector it checks, however fast the check *)
   budget_exceeded : bool;
 }
 
@@ -37,10 +38,14 @@ val n_parallel : group -> int
 val schedule :
   ?max_steps:int -> ?fuse_reductions:bool -> Prog.t -> deps:Deps.t list ->
   target_parallelism:int -> heuristic -> result
-(** [max_steps] bounds maxfuse's exhaustive shift search (default 2e6).
+(** [max_steps] bounds maxfuse's exhaustive shift search (default 2e6):
+    it visits every shift vector in lexicographic order, without
+    pruning, until one is valid or the budget runs out.
     [fuse_reductions:false] reproduces the isl smartfuse behaviour the
     paper observes on the NPU: groups carrying reductions are not fused
-    with their consumers. *)
+    with their consumers. One call computes each dependence piece's
+    distance bound on a dimension at most once, when a candidate group
+    first needs it, and shares it among all its candidates. *)
 
 val group_of_stmts :
   ?band_dims:int -> Prog.t -> deps:Deps.t list -> string list -> group

@@ -628,6 +628,24 @@ let test_real_shadow_empty () =
     (Fm.real_shadow_empty ~nvars:2 odd);
   check bool "2x = 2y + 1, integer emptiness" true (Fm.is_empty ~nvars:2 odd)
 
+(* The enumeration fallback bounds variables in index order and stops
+   at the first unbounded one: x0 is free, so bounding it (eliminating
+   x1 and x2) is the only work before Inexact. *)
+let test_enum_stops_at_unbounded () =
+  let sys =
+    [ Cstr.ge [| 0; 1; 0 |] 0;
+      Cstr.ge [| 0; -1; 0 |] 3;
+      Cstr.ge [| 0; 0; 1 |] 0;
+      Cstr.ge [| 0; 0; -1 |] 3
+    ]
+  in
+  Obs.reset ();
+  Obs.enable ();
+  (match Fm.iter_points_by_enum ~nvars:3 sys (fun _ -> ()) with
+  | () -> Alcotest.fail "enumerated a system with a free variable"
+  | exception Fm.Inexact _ -> ());
+  check int "fm.eliminate calls" 2 (Obs.counter_value "fm.eliminate")
+
 let () =
   Harness.run "presburger"
     [ ( "vec",
@@ -635,7 +653,10 @@ let () =
       ( "cstr",
         [ Alcotest.test_case "simplify" `Quick test_cstr_simplify ] );
       ( "fm",
-        [ Alcotest.test_case "real_shadow_empty" `Quick test_real_shadow_empty ] );
+        [ Alcotest.test_case "real_shadow_empty" `Quick test_real_shadow_empty;
+          Alcotest.test_case "enumeration stops at unbounded" `Quick
+            test_enum_stops_at_unbounded
+        ] );
       ( "bset",
         [ Alcotest.test_case "emptiness" `Quick test_set_empty;
           Alcotest.test_case "intersect/subtract/union" `Quick test_set_ops;

@@ -1,7 +1,7 @@
 (* Scheduler tests: SCC computation and ordering, nest-level atoms,
    shift solving, permutable/coincident attributes, the four fusion
-   heuristics, dynamic-guard fusion rules and the maxfuse search
-   budget. *)
+   heuristics, dynamic-guard fusion rules, the maxfuse search budget
+   and its pinned step counts. *)
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -134,6 +134,68 @@ let test_search_steps_ordering () =
   check bool "maxfuse searches more" true
     (rmax.Fusion.search_steps > rmin.Fusion.search_steps)
 
+(* maxfuse's exhaustive shift search on every small registry workload
+   but resnet50: (search_steps, budget_exceeded, groups). The step
+   count stands in for PPCG maxfuse's compile time (Fig. 10's "*",
+   compile_time's ">budget"), so the search must visit the same leaves
+   in the same order; a workload added to the registry needs a row. *)
+let maxfuse_pins =
+  [ ("conv2d", (355, false, 1));
+    ("unsharp_mask", (13_596, false, 1));
+    ("harris", (2_000_416, true, 1));
+    ("bilateral_grid", (44_774, false, 1));
+    ("camera_pipeline", (2_011_386, true, 1));
+    ("local_laplacian", (2_001_731, true, 1));
+    ("multiscale_interp", (2_000_452, true, 1));
+    ("equake", (37, false, 2));
+    ("2mm", (390_645, false, 1));
+    ("gemver", (16_442, false, 1));
+    ("covariance", (94_493, false, 1));
+    ("jacobi_unrolled", (34, false, 1));
+    ("fuzz_pipeline", (63, false, 1))
+  ]
+
+let test_maxfuse_pinned () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      if e.Registry.reg_name <> "resnet50" then begin
+        let r, gs = groups_of (e.Registry.small ()) Fusion.Maxfuse () in
+        check
+          Alcotest.(triple int bool int)
+          e.Registry.reg_name
+          (List.assoc e.Registry.reg_name maxfuse_pins)
+          (r.Fusion.search_steps, r.Fusion.budget_exceeded, List.length gs)
+      end)
+    Registry.all
+
+(* One [schedule] call shares each dependence piece's distance bounds
+   among its candidate groups; every group it returns still equals the
+   group built afresh from its statements and band depth. *)
+let test_groups_match_fresh () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      let p = e.Registry.small () in
+      let deps = Deps.compute p in
+      List.iter
+        (fun h ->
+          List.iter
+            (fun target ->
+              let r = Fusion.schedule p ~deps ~target_parallelism:target h in
+              List.iter
+                (fun (g : Fusion.group) ->
+                  check bool
+                    (Printf.sprintf "%s %s target %d: %s" e.Registry.reg_name
+                       (Fusion.heuristic_name h) target
+                       (String.concat "+" g.Fusion.stmts))
+                    true
+                    (g
+                    = Fusion.group_of_stmts ~band_dims:g.Fusion.band_dims p ~deps
+                        g.Fusion.stmts))
+                r.Fusion.groups)
+            [ 1; 2 ])
+        [ Fusion.Minfuse; Fusion.Smartfuse; Fusion.Maxfuse; Fusion.Hybridfuse ])
+    Registry.all
+
 let () =
   Harness.run "scheduler"
     [ ( "conv2d",
@@ -155,6 +217,11 @@ let () =
         ] );
       ( "budget",
         [ Alcotest.test_case "maxfuse budget" `Quick test_maxfuse_budget;
-          Alcotest.test_case "search steps" `Quick test_search_steps_ordering
+          Alcotest.test_case "search steps" `Quick test_search_steps_ordering;
+          Alcotest.test_case "maxfuse search pinned" `Quick test_maxfuse_pinned
+        ] );
+      ( "registry",
+        [ Alcotest.test_case "groups match group_of_stmts" `Quick
+            test_groups_match_fresh
         ] )
     ]
